@@ -245,19 +245,23 @@ def main(argv=None):
     else:
         units = E2E_UNITS
         peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        # Times are totals over the run divided by its iterations: the host
+        # alternates fast and slow phases lasting seconds, so iteration times
+        # are bimodal and their median jumps between the modes from run to run.
         metrics = {
-            "wall_s": statistics.median(walls),
-            "cpu_s": statistics.median(cpus),
+            "wall_s": statistics.fmean(walls),
+            "cpu_s": statistics.fmean(cpus),
             "peak_rss_mb": peak_kb / 1024.0,
-            "work_per_s": workload.work / statistics.median(walls),
+            "work_per_s": workload.work * len(walls) / sum(walls),
             "setup_s": statistics.median(setup_times),
         }
         for name, values in (("wall_s", walls), ("cpu_s", cpus), ("setup_s", setup_times)):
             q1, q2, q3 = quartiles(values)
-            say(f"  {name:12s} median {q2:.4f} s  quartiles {q1:.4f} .. {q3:.4f}  runs {len(values)}")
+            say(f"  {name:12s} mean {statistics.fmean(values):.4f} s  median {q2:.4f}  "
+                f"quartiles {q1:.4f} .. {q3:.4f}  runs {len(values)}")
         say(f"  {'peak_rss_mb':12s} {metrics['peak_rss_mb']:.1f} MB (largest child)")
         say(f"  {'work_per_s':12s} {metrics['work_per_s']:.1f} {workload.work_unit}/s "
-            f"({workload.work} per iteration)")
+            f"({workload.work} per iteration, {workload.work * len(walls)} in {sum(walls):.2f} s)")
     failed_frac = runner.failed / max(runner.attempted, 1)
     say(f"commands attempted {runner.attempted}, failed {runner.failed} (failed_frac {failed_frac:.3f})")
     for err in runner.errors[:10]:
