@@ -146,7 +146,7 @@ def run_irf(
         else:
             raise click.ClickException(f"unknown target {target!r}")
 
-    written = []
+    dropped = {}  # output file -> bootstrap replications dropped
     for label, var_names in runs:
         data = make_data(var_names)
         design = vx.build_design(data, spec)
@@ -154,7 +154,7 @@ def run_irf(
         irf = vx.bootstrap_bands(model, design, spec)
         fname = f"irf_{label}.csv"
         vx.write_irf_csv(irf, out_dir / fname)
-        written.append(fname)
+        dropped[fname] = irf.dropped
 
     manifest = {
         "wage_csv": {"path": str(wage_csv), "sha256": _sha256(wage_csv)},
@@ -177,7 +177,8 @@ def run_irf(
             "seed": spec.seed,
             "band_method": spec.band_method,
         },
-        "files": written,
+        "files": list(dropped),
+        "bootstrap_dropped": dropped,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ term) and the index of the smoothed distribution in which every wage is
 replaced by its group mean (the "between" term).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,10 @@ def theil_index(values) -> float:
         Index in [0, ln(n)]; 0 iff all wages are equal.
     """
     arr = _as_distribution(values)
-    shares = arr / arr.sum()
+    total = arr.sum()
+    if not math.isfinite(total):  # the sum overflowed; shares do not depend on the scale
+        return theil_index(arr / arr.max())
+    shares = arr / total
     val = float(np.sum(shares * np.log(arr.size * shares)))
     # rounding can leave a tiny negative residue at near-equality
     return max(val, 0.0)

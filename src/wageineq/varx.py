@@ -195,6 +195,33 @@ class VarxModel:
         return len(self.names)
 
 
+def _solve_full_rank(Z: np.ndarray, Y: np.ndarray):
+    """QR least squares of stacked responses (n, T, k) on designs (n, T, m).
+
+    Returns the (n, m) mask of R diagonals below eps * largest column norm * T,
+    and the coefficients (n_ok, m, k) and R factors of the full-rank fits.
+    """
+    Q, R = np.linalg.qr(Z)
+    tol = np.finfo(float).eps * np.linalg.norm(Z, axis=1).max(axis=1) * Z.shape[1]
+    deficient = np.abs(np.diagonal(R, axis1=1, axis2=2)) < tol[:, None]
+    ok = ~deficient.any(axis=1)
+    # Q^T Y before the selection, so that Q is never copied
+    return deficient, np.linalg.solve(R[ok], (Q.swapaxes(1, 2) @ Y)[ok]), R[ok]
+
+
+def _unpack(coefs: np.ndarray, spec: VarxSpec, k: int):
+    """Split (..., m, k) coefficients into the intercept, the (..., p, k, k)
+    autoregressive matrices in row-equation form and the (..., q+1, k)
+    exogenous rows, row 0 zero when the contemporaneous term is excluded.
+    """
+    p, q = spec.endogenous_lags, spec.exogenous_lags
+    # column i of each lag block is equation i; transpose to row-equation form
+    endo = coefs[..., 1 : 1 + p * k, :].reshape(coefs.shape[:-2] + (p, k, k)).swapaxes(-1, -2)
+    exog = np.zeros(coefs.shape[:-2] + (q + 1, k))
+    exog[..., 0 if spec.contemporaneous_shock else 1 :, :] = coefs[..., 1 + p * k :, :]
+    return coefs[..., 0, :], endo, exog
+
+
 def estimate(design: Design) -> VarxModel:
     """Least-squares fit of every equation on the shared regressor matrix.
 
@@ -210,42 +237,22 @@ def estimate(design: Design) -> VarxModel:
             f"effective sample of {T_eff} rows is below the floor of {m + 10} "
             f"for {m} regressors"
         )
-    Q, R = np.linalg.qr(Z)
-    col_norms = np.linalg.norm(Z, axis=0)
-    tol = np.finfo(float).eps * col_norms.max() * T_eff
-    rdiag = np.abs(np.diag(R))
-    if np.any(rdiag < tol):
-        bad = int(np.argmax(rdiag < tol))
-        raise RankError(
-            f"design matrix is rank deficient at column {design.columns[bad]!r}"
-        )
-    coefs = np.linalg.solve(R, Q.T @ Y)  # (m, k)
-    fitted = Z @ coefs
-    resid = Y - fitted
+    deficient, coefs, R = _solve_full_rank(Z[None], Y[None])
+    if deficient.any():
+        bad = int(np.argmax(deficient[0]))
+        raise RankError(f"design matrix is rank deficient at column {design.columns[bad]!r}")
+    coefs, R = coefs[0], R[0]  # (m, k), (m, m)
+    resid = Y - Z @ coefs
     sigma = resid.T @ resid / (T_eff - m)
-    Rinv = np.linalg.inv(R)
-    ztz_inv_diag = np.sum(Rinv**2, axis=1)
+    ztz_inv_diag = np.sum(np.linalg.inv(R) ** 2, axis=1)
     stderr = np.sqrt(np.outer(ztz_inv_diag, np.diag(sigma)))
 
     spec = design.spec
-    p, q, k = spec.endogenous_lags, spec.exogenous_lags, design.data.k
-    intercept = coefs[0]
-    endo = np.empty((p, k, k))
-    for j in range(p):
-        # column i of the block is equation i; transpose to row-equation form
-        endo[j] = coefs[1 + j * k : 1 + (j + 1) * k].T
-    exog = np.zeros((q + 1, k))
-    pos = 1 + p * k
-    if spec.contemporaneous_shock:
-        exog[0] = coefs[pos]
-        pos += 1
-    for j in range(1, q + 1):
-        exog[j] = coefs[pos]
-        pos += 1
+    intercept, endo, exog = _unpack(coefs, spec, design.data.k)
     return VarxModel(
         names=design.data.names,
-        endogenous_lags=p,
-        exogenous_lags=q,
+        endogenous_lags=spec.endogenous_lags,
+        exogenous_lags=spec.exogenous_lags,
         contemporaneous_shock=spec.contemporaneous_shock,
         intercept=intercept,
         endo_coefs=endo,
@@ -268,6 +275,7 @@ class ImpulseResponse:
     point: np.ndarray = field(repr=False)  # (H+1, k)
     lower: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
+    dropped: int = 0  # bootstrap replications left out as rank deficient
 
     @property
     def horizon(self) -> int:
@@ -281,40 +289,33 @@ def dynamic_multipliers(model: VarxModel, spec: VarxSpec) -> ImpulseResponse:
     propagates it with the autoregressive matrices:
     psi_0 = C_0 s, psi_h = sum_j B_j psi_{h-j} + C_h s (C_h = 0 past q).
     """
-    p, q = model.endogenous_lags, model.exogenous_lags
-    H, s = spec.horizon, spec.shock_size
-    psi = np.zeros((H + 1, model.k))
-    psi[0] = model.exog_coefs[0] * s
-    for h in range(1, H + 1):
-        acc = np.zeros(model.k)
-        for j in range(1, min(h, p) + 1):
-            acc += model.endo_coefs[j - 1] @ psi[h - j]
-        if h <= q:
-            acc += model.exog_coefs[h] * s
-        psi[h] = acc
+    psi = _multipliers(model.endo_coefs, model.exog_coefs, spec.horizon, spec.shock_size)
     return ImpulseResponse(model.names, psi, psi.copy(), psi.copy())
 
 
-def _regenerate(model: VarxModel, design: Design, resid_rows: np.ndarray) -> TimeSeriesData:
-    """Rebuild the endogenous series recursively from resampled residuals.
+def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: int) -> np.ndarray:
+    """Fill X[..., t, :] = drive[..., t - start, :] + sum_j B_j X[..., t - j, :] in place.
 
-    Initial lags and the whole exogenous path stay at their observed
-    values; d is exogenous by assumption and is not resampled.
+    Rows before ``start`` hold the pre-sample lags. Leading axes of X, drive
+    and endo_coefs (..., p, k, k), such as replications, share one pass.
     """
-    data, spec = design.data, design.spec
-    p, q = spec.endogenous_lags, spec.exogenous_lags
-    Xb = data.X.copy()
-    d = data.d
-    for i, t in enumerate(range(design.offset, data.T)):
-        x = model.intercept + model.residuals[resid_rows[i]]
-        for j in range(1, p + 1):
-            x = x + model.endo_coefs[j - 1] @ Xb[t - j]
-        if spec.contemporaneous_shock:
-            x = x + model.exog_coefs[0] * d[t]
-        for j in range(1, q + 1):
-            x = x + model.exog_coefs[j] * d[t - j]
-        Xb[t] = x
-    return TimeSeriesData(data.quarters, Xb, d, data.names)
+    for i, t in enumerate(range(start, X.shape[-2])):
+        x = drive[..., i, :]
+        for j in range(1, endo_coefs.shape[-3] + 1):
+            x = x + (endo_coefs[..., j - 1, :, :] @ X[..., t - j, :, None])[..., 0]
+        X[..., t, :] = x
+    return X
+
+
+def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: float) -> np.ndarray:
+    """Responses (..., H+1, k) to blocks endo (..., p, k, k), exog (..., q+1, k)."""
+    lead, p, k = exog.shape[:-2], endo.shape[-3], exog.shape[-1]
+    drive = np.zeros(lead + (horizon + 1, k))
+    drive[..., : exog.shape[-2], :] = exog[..., : horizon + 1, :] * shock_size
+    return _recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
+
+
+_BOOT_CHUNK = 32  # replications per batched pass; stacked arrays scale with it, not with reps
 
 
 def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
@@ -323,38 +324,44 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     Each replication resamples residual rows i.i.d. with replacement,
     regenerates the sample, re-estimates, and recomputes the multipliers.
     Replication r draws from a stream derived from (seed, r), so results
-    are identical regardless of evaluation order. The default bands are
-    the point estimate +/- 1 bootstrap standard deviation; the percentile
-    method uses the 15.87/84.13 percentiles (clipped to contain the
-    point). Replications whose re-estimation fails are dropped; more than
-    5% failures aborts.
+    are identical regardless of evaluation order. Initial lags and the
+    whole exogenous path stay at their observed values; d is exogenous by
+    assumption and is not resampled. The default bands are the point
+    estimate +/- 1 bootstrap standard deviation; the percentile method
+    uses the 15.87/84.13 percentiles (clipped to contain the point).
+    Replications whose re-estimation is rank deficient are dropped and
+    counted in ``dropped``; more than 5% failures aborts.
     """
     point = dynamic_multipliers(model, spec).point
-    T_eff = design.T_eff
-    draws = []
-    failures = 0
-    for rep in range(spec.bootstrap_reps):
-        rng = np.random.default_rng((spec.seed, rep))
-        rows = rng.integers(0, T_eff, size=T_eff)
-        try:
-            boot_data = _regenerate(model, design, rows)
-            boot_model = estimate(build_design(boot_data, spec))
-            draws.append(dynamic_multipliers(boot_model, spec).point)
-        except (VarxError, np.linalg.LinAlgError):
-            failures += 1
-    if failures > 0.05 * spec.bootstrap_reps:
-        raise VarxError(
-            f"bootstrap aborted: {failures} of {spec.bootstrap_reps} replications "
-            f"failed re-estimation"
-        )
-    stack = np.array(draws)
+    data, dspec, T_eff = design.data, design.spec, design.T_eff
+    p, k, offset = dspec.endogenous_lags, data.k, design.offset
+    # intercept plus exogenous term, the same in every replication
+    exog_rows = model.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
+    base = model.intercept + design.Z[:, 1 + p * k :] @ exog_rows
+    reps = spec.bootstrap_reps
+    draws, dropped = [], 0
+    for first in range(0, reps, _BOOT_CHUNK):
+        chunk = range(first, min(first + _BOOT_CHUNK, reps))
+        rows = np.array([np.random.default_rng((spec.seed, r)).integers(0, T_eff, T_eff) for r in chunk])
+        Xb = np.repeat(data.X[None], len(chunk), axis=0)
+        _recurse(Xb, model.endo_coefs, base + model.residuals[rows], offset)
+        Zb = np.repeat(design.Z[None], len(chunk), axis=0)
+        for j in range(1, p + 1):
+            Zb[:, :, 1 + (j - 1) * k : 1 + j * k] = Xb[:, offset - j : data.T - j]
+        deficient, coefs, _ = _solve_full_rank(Zb, Xb[:, offset:])
+        dropped += int(deficient.any(axis=1).sum())
+        _, endo, exog = _unpack(coefs, dspec, k)
+        draws.append(_multipliers(endo, exog, spec.horizon, spec.shock_size))
+    if dropped > 0.05 * reps:
+        raise VarxError(f"bootstrap aborted: {dropped} of {reps} replications failed re-estimation")
+    stack = np.concatenate(draws)
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd
     else:
         lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
         upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
-    return ImpulseResponse(model.names, point, lower, upper)
+    return ImpulseResponse(model.names, point, lower, upper, dropped)
 
 
 def subsample(data: TimeSeriesData, start: str, end: str) -> TimeSeriesData:
@@ -387,30 +394,18 @@ def simulate_varx(
 
     ``endo_coefs`` is (p, k, k), ``exog_coefs`` (q+1, k) with row 0 the
     contemporaneous coefficient (ignored unless the flag is set).
-    Burn-in periods use zero exogenous input and are discarded.
+    Burn-in periods start from zero lags, use zero exogenous input and are discarded.
     """
     intercept = np.asarray(intercept, dtype=float)
     endo_coefs = np.asarray(endo_coefs, dtype=float)
     exog_coefs = np.asarray(exog_coefs, dtype=float)
-    d = np.asarray(d, dtype=float)
-    k = intercept.shape[0]
-    p = endo_coefs.shape[0]
-    q = exog_coefs.shape[0] - 1
-    T = d.shape[0]
-    d_full = np.concatenate([np.zeros(burn_in), d])
-    X = np.zeros((burn_in + T, k))
-    for t in range(burn_in + T):
-        x = intercept + rng.normal(0.0, noise_sd, size=k)
-        for j in range(1, p + 1):
-            if t - j >= 0:
-                x = x + endo_coefs[j - 1] @ X[t - j]
-        if contemporaneous_shock:
-            x = x + exog_coefs[0] * d_full[t]
-        for j in range(1, q + 1):
-            if t - j >= 0:
-                x = x + exog_coefs[j] * d_full[t - j]
-        X[t] = x
-    return X[burn_in:]
+    p, q = endo_coefs.shape[0], exog_coefs.shape[0] - 1
+    n = burn_in + len(d)
+    d_full = np.concatenate([np.zeros(q + burn_in), d])
+    drive = intercept + rng.normal(0.0, noise_sd, size=(n, intercept.shape[0]))
+    for j in range(0 if contemporaneous_shock else 1, q + 1):
+        drive = drive + exog_coefs[j] * d_full[q - j : q - j + n, None]
+    return _recurse(np.zeros((p + n, intercept.shape[0])), endo_coefs, drive, p)[p + burn_in :]
 
 
 def companion_spectral_radius(model: VarxModel) -> float:

@@ -103,6 +103,17 @@ class TestIrf:
         comps = vx.read_irf_csv(str(out / "irf_components.csv"))
         assert comps.names == ("within_d1", "within_q3", "within_d9", "between")
 
+    def test_manifest_reports_dropped_replications(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)] + self.ARGS,
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["bootstrap_dropped"] == {"irf_total.csv": 0, "irf_components.csv": 0}
+
     def test_same_seed_byte_identical(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         blobs = []

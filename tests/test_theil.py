@@ -38,6 +38,14 @@ class TestTheilIndex:
             0.25 * math.log(0.5) + 0.75 * math.log(1.5), abs=1e-15
         )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_sum_overflow_is_rescaled(self):
+        # the total of these wages overflows to inf; shares are scale free
+        big = theil_index([1e308, 1e308, 1.0])
+        assert math.isfinite(big)
+        assert big == theil_index([1.0, 1.0, 1e-308])
+        assert big == pytest.approx(math.log(1.5), abs=1e-12)
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError, match="non-empty"):
             theil_index([])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wageineq import panel as pn
 from wageineq import varx as vx
-from wageineq.fixtures import make_quarters
+from wageineq.fixtures import make_quarters, synthetic_shock_series, synthetic_wage_panel
 
 
 def make_data(X, d, names=(), start="1980Q1"):
@@ -279,6 +282,163 @@ class TestBootstrapBands:
         assert np.all(bands.lower <= bands.point)
         assert np.all(bands.point <= bands.upper)
         assert np.any(bands.upper > bands.lower)
+
+
+def scalar_bootstrap(model, design, spec):
+    """The per-replication bootstrap loop: the reference for the batched one.
+
+    Regenerates, re-estimates and recomputes the multipliers one replication
+    at a time. Returns the lower and upper bands and the failure count.
+    """
+    data, dspec = design.data, design.spec
+    p, q = dspec.endogenous_lags, dspec.exogenous_lags
+    point = vx.dynamic_multipliers(model, spec).point
+    draws, failures = [], 0
+    for rep in range(spec.bootstrap_reps):
+        rows = np.random.default_rng((spec.seed, rep)).integers(0, design.T_eff, size=design.T_eff)
+        Xb = data.X.copy()
+        for i, t in enumerate(range(design.offset, data.T)):
+            x = model.intercept + model.residuals[rows[i]]
+            for j in range(1, p + 1):
+                x = x + model.endo_coefs[j - 1] @ Xb[t - j]
+            if dspec.contemporaneous_shock:
+                x = x + model.exog_coefs[0] * data.d[t]
+            for j in range(1, q + 1):
+                x = x + model.exog_coefs[j] * data.d[t - j]
+            Xb[t] = x
+        boot = vx.TimeSeriesData(data.quarters, Xb, data.d, data.names)
+        try:
+            draws.append(vx.dynamic_multipliers(vx.estimate(vx.build_design(boot, spec)), spec).point)
+        except (vx.VarxError, np.linalg.LinAlgError):
+            failures += 1
+    stack = np.array(draws)
+    if spec.band_method == "sd":
+        sd = stack.std(axis=0, ddof=1)
+        return point - sd, point + sd, failures
+    lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
+    upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
+    return lower, upper, failures
+
+
+def assert_matches_scalar(model, design, spec):
+    lower, upper, failures = scalar_bootstrap(model, design, spec)
+    bands = vx.bootstrap_bands(model, design, spec)
+    np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-12)
+    assert bands.dropped == failures
+    return bands
+
+
+def pipeline_data(target, n_quarters=81):
+    """Standardized series as ``wageineq irf`` builds them from the fixtures.
+
+    ``target`` is "total" (k=1), "components" (k=4) or "control" (the four
+    components plus an indpro-like control, k=5).
+    """
+    panel = synthetic_wage_panel(n_quarters)
+    series = pn.compute_series(panel)
+    if target == "total":
+        cols, names = [series.total], ("total",)
+    else:
+        cols = [series.within[:, 0], series.within[:, 1], series.within[:, 2], series.between]
+        names = ("within_d1", "within_q3", "within_d9", "between")
+    if target == "control":
+        cols.append(synthetic_shock_series(panel.quarters, seed=30000000).values)
+        names += ("indpro",)
+    X = np.column_stack([pn.standardize(c) for c in cols])
+    return vx.TimeSeriesData(panel.quarters, X, synthetic_shock_series(panel.quarters).values, names)
+
+
+class TestBatchedBootstrap:
+    """The chunked bootstrap against the per-replication loop."""
+
+    @pytest.mark.parametrize(
+        "target,n_quarters,spec_kwargs",
+        [
+            ("total", 81, {"bootstrap_reps": 100}),
+            ("components", 81, {"bootstrap_reps": 2000, "seed": 3}),
+            ("components", 81, {"bootstrap_reps": 250, "band_method": "percentile"}),
+            ("components", 81, {"bootstrap_reps": 100, "contemporaneous_shock": False}),
+            ("control", 168, {"bootstrap_reps": 100, "endogenous_lags": 2, "band_method": "percentile"}),
+            ("control", 168, {"bootstrap_reps": 130, "endogenous_lags": 2, "seed": 5}),
+        ],
+    )
+    def test_matches_scalar_loop(self, target, n_quarters, spec_kwargs):
+        spec = vx.VarxSpec(**spec_kwargs)
+        design = vx.build_design(pipeline_data(target, n_quarters), spec)
+        bands = assert_matches_scalar(vx.estimate(design), design, spec)
+        assert bands.dropped == 0
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        p=st.integers(1, 2),
+        q=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        contemporaneous=st.booleans(),
+        band_method=st.sampled_from(["sd", "percentile"]),
+    )
+    def test_property_matches_scalar_loop(self, k, p, q, seed, contemporaneous, band_method):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(0.0, 0.05, size=(p, k, k))
+        B[0] += np.diag(rng.uniform(-0.5, 0.5, size=k))
+        C = rng.normal(size=(q + 1, k))
+        d = rng.normal(size=80)
+        X = vx.simulate_varx(
+            rng.normal(size=k), B, C, d, noise_sd=0.3, rng=rng, contemporaneous_shock=contemporaneous
+        )
+        spec = vx.VarxSpec(
+            endogenous_lags=p,
+            exogenous_lags=q,
+            contemporaneous_shock=contemporaneous,
+            horizon=int(rng.integers(1, 13)),
+            bootstrap_reps=100,
+            seed=seed,
+            band_method=band_method,
+        )
+        design = vx.build_design(make_data(X, d), spec)
+        assert_matches_scalar(vx.estimate(design), design, spec)
+
+    @staticmethod
+    def _sparse_residual_model(nonzero_rows):
+        """Univariate model whose regenerated sample stays exactly zero until
+        a draw hits one of its ``nonzero_rows`` nonzero residuals.
+
+        An all-zero lag column makes that replication's design rank deficient.
+        """
+        rng = np.random.default_rng(17)
+        design = vx.build_design(make_data(np.zeros(81), rng.normal(size=81)), vx.VarxSpec())
+        resid = np.zeros((design.T_eff, 1))
+        resid[:nonzero_rows, 0] = 1.0
+        model = vx.VarxModel(
+            names=("x0",),
+            endogenous_lags=1,
+            exogenous_lags=4,
+            contemporaneous_shock=True,
+            intercept=np.zeros(1),
+            endo_coefs=np.array([[[0.5]]]),
+            exog_coefs=np.zeros((5, 1)),
+            residuals=resid,
+            sigma=np.zeros((1, 1)),
+            stderr=np.zeros((design.m, 1)),
+        )
+        return model, design
+
+    def test_rank_deficient_replications_are_dropped_and_counted(self):
+        model, design = self._sparse_residual_model(nonzero_rows=4)
+        spec = vx.VarxSpec(bootstrap_reps=400, seed=2)
+        bands = assert_matches_scalar(model, design, spec)
+        assert 0 < bands.dropped <= 0.05 * spec.bootstrap_reps
+
+    def test_too_many_failures_abort(self):
+        model, design = self._sparse_residual_model(nonzero_rows=1)
+        spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
+        failures = scalar_bootstrap(model, design, spec)[2]
+        assert failures > 5
+        with pytest.raises(
+            vx.VarxError, match=f"bootstrap aborted: {failures} of 100 replications failed re-estimation"
+        ):
+            vx.bootstrap_bands(model, design, spec)
 
 
 class TestSubsample:
