@@ -6,8 +6,9 @@ Subcommands:
   growth     wage CSV -> per-cell wage growth CSV
   demo       generate synthetic fixtures and run the whole pipeline
 
-Options can come from a JSON config file (--config); command-line flags
-win over config values. Every irf run writes a manifest sufficient to
+Options can come from a JSON config file (--config) keyed by parameter
+name; it becomes the command's default map, so command-line flags win over
+config values. Every irf run writes a manifest sufficient to
 reproduce it: all settings, the seed, and input file digests.
 """
 
@@ -32,23 +33,23 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_config(path):
+def _apply_config(ctx, param, path):
+    """Make a JSON config file the command's defaults, so explicit flags still win."""
     if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        return
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise click.BadParameter(f"{path} is not a readable JSON file: {exc}", ctx, param) from None
     if not isinstance(cfg, dict):
-        raise click.ClickException(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _resolve(ctx, cfg, name, value):
-    """Prefer an explicit command-line flag, then the config file, then the default."""
-    from click.core import ParameterSource
-
-    if ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE:
-        return value
-    return cfg.get(name, value)
+        raise click.BadParameter(f"{path} must hold a JSON object", ctx, param)
+    keys = sorted(p.name for p in ctx.command.params if p is not param)
+    for key in cfg:
+        if key not in keys:
+            raise click.BadParameter(
+                f"{path} has unknown key {key!r}; expected one of {', '.join(keys)}", ctx, param
+            )
+    ctx.default_map = cfg
 
 
 def _series_matrix(series: pn.InequalitySeries) -> dict:
@@ -65,7 +66,7 @@ def run_decompose(wage_csv, out_dir) -> dict:
     """Decompose a wage CSV; write series.csv and return the summary block."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series = pn.compute_series(pn.parse_wage_csv(str(wage_csv)))
+    series = pn.compute_series(pn.parse_wage_csv(wage_csv))
     pn.write_series_csv(series, out_dir / "series.csv")
     return {
         "first_quarter": series.quarters[0],
@@ -80,7 +81,7 @@ def run_growth(wage_csv, out_dir, method: str = "yoy") -> dict:
     """Write per-cell growth rates for a wage CSV."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    growth = pn.growth_rates(pn.parse_wage_csv(str(wage_csv)), method=method)
+    growth = pn.growth_rates(pn.parse_wage_csv(wage_csv), method=method)
     pn.write_growth_csv(growth, out_dir / "growth.csv")
     return {"quarters": len(growth.quarters), "method": method, "files": ["growth.csv"]}
 
@@ -106,19 +107,26 @@ def run_irf(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    aligned = pn.align(pn.parse_wage_csv(str(wage_csv)), pn.parse_shock_csv(str(shock_csv)))
+    aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
     series = pn.compute_series(aligned.panel)
     columns = _series_matrix(series)
 
     control_cols = {}
+    control_paths = {}
     for path in controls:
-        ctrl = pn.parse_shock_csv(str(path))
+        name = Path(path).stem
+        if name in columns:
+            raise pn.PanelError(f"control series {path} is named like the series {name!r}; rename the file")
+        if name in control_paths:
+            raise pn.PanelError(f"control series {control_paths[name]} and {path} share the name {name!r}")
+        control_paths[name] = path
+        ctrl = pn.parse_shock_csv(path)
         missing = [q for q in aligned.quarters if q not in set(ctrl.quarters)]
         if missing:
             raise pn.PanelError(
                 f"control series {path} does not cover quarter {missing[0]}"
             )
-        control_cols[Path(path).stem] = ctrl.restrict(aligned.quarters).values
+        control_cols[name] = ctrl.restrict(aligned.quarters).values
 
     def make_data(var_names):
         X = np.column_stack([columns.get(n, control_cols.get(n)) for n in var_names])
@@ -191,7 +199,14 @@ def main():
     """Theil wage-inequality decomposition and shock-response analysis."""
 
 
-_config_opt = click.option("--config", type=click.Path(exists=True), default=None, help="JSON config file; flags override it.")
+_config_opt = click.option(
+    "--config",
+    type=click.Path(exists=True, dir_okay=False),
+    is_eager=True,
+    expose_value=False,
+    callback=_apply_config,
+    help="JSON config file keyed by option names; flags override it.",
+)
 _out_opt = click.option("--out", type=click.Path(), default="out", show_default=True, help="Output directory.")
 _wages_opt = click.option("--wages", type=click.Path(), default=None, help="Wage CSV (quarter,race,quantile,wage).")
 
@@ -200,12 +215,8 @@ _wages_opt = click.option("--wages", type=click.Path(), default=None, help="Wage
 @_config_opt
 @_wages_opt
 @_out_opt
-@click.pass_context
-def decompose(ctx, config, wages, out):
+def decompose(wages, out):
     """Write the per-quarter within/between decomposition series."""
-    cfg = _load_config(config)
-    wages = _resolve(ctx, cfg, "wages", wages)
-    out = _resolve(ctx, cfg, "out", out)
     if wages is None:
         raise click.ClickException("--wages (or config 'wages') is required")
     try:
@@ -237,41 +248,33 @@ def decompose(ctx, config, wages, out):
 @click.option("--target", "targets", type=click.Choice(["total", "components"]), multiple=True, help="Target sets to run (default: both).")
 @click.option("--per-component", is_flag=True, default=False, help="Estimate each component in its own system.")
 @click.option("--band-method", type=click.Choice(["sd", "percentile"]), default="sd", show_default=True)
-@click.pass_context
-def irf(ctx, config, wages, shocks, out, seed, reps, horizon, shock_size, standardize,
-        no_contemporaneous, start, end, endo_lags, exo_lags, controls, targets,
-        per_component, band_method):
+def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_contemporaneous,
+        start, end, endo_lags, exo_lags, controls, targets, per_component, band_method):
     """Estimate impulse responses of the inequality series to the shock."""
-    cfg = _load_config(config)
-    wages = _resolve(ctx, cfg, "wages", wages)
-    shocks = _resolve(ctx, cfg, "shocks", shocks)
-    out = _resolve(ctx, cfg, "out", out)
     if wages is None or shocks is None:
         raise click.ClickException("--wages and --shocks (or config entries) are required")
-    targets = tuple(_resolve(ctx, cfg, "targets", targets or ("total", "components")))
-    controls = tuple(_resolve(ctx, cfg, "controls", list(controls)))
     try:
         spec = vx.VarxSpec(
-            endogenous_lags=_resolve(ctx, cfg, "endo_lags", endo_lags),
-            exogenous_lags=_resolve(ctx, cfg, "exo_lags", exo_lags),
-            contemporaneous_shock=not _resolve(ctx, cfg, "no_contemporaneous", no_contemporaneous),
-            horizon=_resolve(ctx, cfg, "horizon", horizon),
-            shock_size=_resolve(ctx, cfg, "shock_size", shock_size),
-            bootstrap_reps=_resolve(ctx, cfg, "reps", reps),
-            seed=_resolve(ctx, cfg, "seed", seed),
-            band_method=_resolve(ctx, cfg, "band_method", band_method),
+            endogenous_lags=endo_lags,
+            exogenous_lags=exo_lags,
+            contemporaneous_shock=not no_contemporaneous,
+            horizon=horizon,
+            shock_size=shock_size,
+            bootstrap_reps=reps,
+            seed=seed,
+            band_method=band_method,
         )
         manifest = run_irf(
             wages,
             shocks,
             out,
             spec,
-            targets=targets,
-            standardize=_resolve(ctx, cfg, "standardize", standardize),
-            start=_resolve(ctx, cfg, "start", start),
-            end=_resolve(ctx, cfg, "end", end),
+            targets=targets or ("total", "components"),
+            standardize=standardize,
+            start=start,
+            end=end,
             controls=controls,
-            per_component=_resolve(ctx, cfg, "per_component", per_component),
+            per_component=per_component,
         )
     except (pn.PanelError, vx.VarxError, DomainError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -285,16 +288,12 @@ def irf(ctx, config, wages, shocks, out, seed, reps, horizon, shock_size, standa
 @_wages_opt
 @_out_opt
 @click.option("--method", type=click.Choice(["yoy", "log_qoq"]), default="yoy", show_default=True)
-@click.pass_context
-def growth(ctx, config, wages, out, method):
+def growth(wages, out, method):
     """Write year-over-year (or log quarter-over-quarter) wage growth rates."""
-    cfg = _load_config(config)
-    wages = _resolve(ctx, cfg, "wages", wages)
-    out = _resolve(ctx, cfg, "out", out)
     if wages is None:
         raise click.ClickException("--wages (or config 'wages') is required")
     try:
-        summary = run_growth(wages, out, method=_resolve(ctx, cfg, "method", method))
+        summary = run_growth(wages, out, method=method)
     except (pn.PanelError, DomainError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {Path(out) / 'growth.csv'} ({summary['quarters']} quarters, {summary['method']})")
@@ -326,15 +325,15 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
         pn.write_wage_csv(wage_panel, wage_path)
         pn.write_shock_csv(synthetic_shock_series(wage_panel.quarters), shock_path)
         # inputs must round-trip through the package's own parsers
-        parsed = pn.parse_wage_csv(str(wage_path))
-        pn.parse_shock_csv(str(shock_path))
+        parsed = pn.parse_wage_csv(wage_path)
+        pn.parse_shock_csv(shock_path)
         return f"{parsed.n_quarters} quarters"
 
     stage("fixtures", gen)
 
     def dec():
         summary = run_decompose(wage_path, out_dir)
-        series = pn.read_series_csv(str(out_dir / "series.csv"))
+        series = pn.read_series_csv(out_dir / "series.csv")
         assert np.allclose(
             series.total, series.within.sum(axis=1) + series.between, rtol=1e-8, atol=1e-12
         ), "decomposition identity violated in output"
@@ -347,7 +346,7 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
         spec = vx.VarxSpec(bootstrap_reps=reps, seed=seed)
         manifest = run_irf(wage_path, shock_path, out_dir, spec)
         for fname in manifest["files"]:
-            irf = vx.read_irf_csv(str(out_dir / fname))
+            irf = vx.read_irf_csv(out_dir / fname)
             assert np.all(irf.lower <= irf.point + 1e-12), f"band ordering in {fname}"
             assert np.all(irf.point <= irf.upper + 1e-12), f"band ordering in {fname}"
         return ", ".join(manifest["files"])
@@ -356,7 +355,7 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
 
     def growth_stage():
         run_growth(wage_path, out_dir)
-        series = pn.read_growth_csv(str(out_dir / "growth.csv"))
+        series = pn.read_growth_csv(out_dir / "growth.csv")
         assert series.growth.shape[1] == 9
         return f"{len(series.quarters)} quarters"
 

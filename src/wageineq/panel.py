@@ -9,7 +9,8 @@ the between term the gap across wage groups.
 """
 
 import csv
-import io
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,12 @@ RACES = ("Asian", "Black", "White")
 QUANTILES = ("D1", "Q3", "D9")
 # canonical 9-cell order: quantile-major, race alphabetical
 CELLS = tuple((q, r) for q in QUANTILES for r in RACES)
+# partitions are immutable, so every quarter shares this one
+_QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
 
+_WAGE_HEADER = ("quarter", "race", "quantile", "wage")
+_SHOCK_HEADER = ("quarter", "shock")
+_GROWTH_HEADER = ("quarter", "race", "quantile", "growth_pct")
 SERIES_HEADER = (
     "quarter",
     "total",
@@ -147,103 +153,107 @@ class ShockSeries:
         return ShockSeries(tuple(quarters), self.values[pos])
 
 
-def _open_text(source):
-    """Accept a path, bytes, str, or file-like object and yield text lines."""
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str) and "\n" not in source and "," not in source:
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, str):
-        return io.StringIO(source)
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    return open(source, "r", encoding="utf-8", newline="")
+def _read_rows(source, header, error):
+    """Yield (line number, stripped fields) for each data row of a CSV.
+
+    ``source`` is a path or an open text file. The stripped header must equal
+    ``header``, blank rows are skipped and every other row must have one field
+    per header column; any failure raises ``error``.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            yield from _read_rows(fh, header, error)
+        return
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first is None or tuple(h.strip() for h in first) != tuple(header):
+        raise error(f"bad CSV header {first}; expected {','.join(header)}")
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise error(f"row {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+        yield reader.line_num, [f.strip() for f in row]
+
+
+def _number(text, lineno, name) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise PanelError(f"row {lineno}: non-numeric {name} {text!r}") from None
+    if not math.isfinite(value):
+        raise PanelError(f"row {lineno}: {name} must be finite, got {text}")
+    return value
+
+
+def _contiguous(qindices) -> list:
+    """Sorted quarter indices; rejects an empty set and gaps."""
+    qindices = sorted(qindices)
+    if not qindices:
+        raise PanelError("CSV contains no data rows")
+    for a, b in zip(qindices, qindices[1:]):
+        if b != a + 1:
+            raise PanelError(f"gap in quarters between {format_quarter(a)} and {format_quarter(b)}")
+    return qindices
+
+
+def _read_by_quarter(source, header):
+    """Quarter labels and (T, m) values of a CSV with one row per quarter."""
+    rows = {}
+    for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
+        qidx = parse_quarter(quarter)
+        if qidx in rows:
+            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
+        rows[qidx] = [_number(f, lineno, name) for f, name in zip(fields, header[1:])]
+    qindices = _contiguous(rows)
+    return tuple(format_quarter(i) for i in qindices), np.array([rows[i] for i in qindices])
+
+
+def _read_cells(source, header, positive=False):
+    """Quarter labels and (T, 9) grid of a quarter,race,quantile,value CSV.
+
+    Rows may arrive in any order; every quarter needs all 9 cells once.
+    """
+    name = header[3]
+    cells = {}
+    for lineno, (quarter, race, quantile, text) in _read_rows(source, header, PanelError):
+        qidx = parse_quarter(quarter)
+        if race not in RACES:
+            raise PanelError(f"row {lineno}: unknown race {race!r}")
+        if quantile not in QUANTILES:
+            raise PanelError(f"row {lineno}: unknown quantile {quantile!r}")
+        value = _number(text, lineno, name)
+        if positive and value <= 0:
+            raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
+        key = (qidx, quantile, race)
+        if key in cells:
+            raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
+        cells[key] = value
+    qindices = _contiguous({k[0] for k in cells})
+    grid = np.empty((len(qindices), 9))
+    for t, qidx in enumerate(qindices):
+        for c, (quantile, race) in enumerate(CELLS):
+            key = (qidx, quantile, race)
+            if key not in cells:
+                raise PanelError(f"missing {name} cell ({format_quarter(qidx)}, {race}, {quantile})")
+            grid[t, c] = cells[key]
+    return tuple(format_quarter(i) for i in qindices), grid
 
 
 def parse_wage_csv(source) -> QuarterlyPanel:
     """Parse and validate a wage CSV (header: quarter,race,quantile,wage).
 
-    Rows may arrive in any order. Raises PanelError with the offending row
-    number for duplicates, missing cells, gaps, or non-positive wages.
+    ``source`` is a path or an open text file. Rows may arrive in any order.
+    Raises PanelError with the offending row number for duplicates, missing
+    cells, gaps, or non-positive wages.
     """
-    cells = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["quarter", "race", "quantile", "wage"]:
-            raise PanelError(f"bad wage CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise PanelError(f"row {lineno}: expected 4 fields, got {len(row)}")
-            quarter, race, quantile, wage_text = (f.strip() for f in row)
-            qidx = parse_quarter(quarter)
-            if race not in RACES:
-                raise PanelError(f"row {lineno}: unknown race {race!r}")
-            if quantile not in QUANTILES:
-                raise PanelError(f"row {lineno}: unknown quantile {quantile!r}")
-            try:
-                wage = float(wage_text)
-            except ValueError:
-                raise PanelError(f"row {lineno}: non-numeric wage {wage_text!r}") from None
-            if not np.isfinite(wage) or wage <= 0:
-                raise PanelError(f"row {lineno}: wage must be positive and finite, got {wage_text}")
-            key = (qidx, quantile, race)
-            if key in cells:
-                raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
-            cells[key] = wage
-    if not cells:
-        raise PanelError("wage CSV contains no data rows")
-    qindices = sorted({k[0] for k in cells})
-    for a, b in zip(qindices, qindices[1:]):
-        if b != a + 1:
-            raise PanelError(f"gap in quarters between {format_quarter(a)} and {format_quarter(b)}")
-    wages = np.empty((len(qindices), 9))
-    for t, qidx in enumerate(qindices):
-        for c, (quantile, race) in enumerate(CELLS):
-            key = (qidx, quantile, race)
-            if key not in cells:
-                raise PanelError(f"missing cell ({format_quarter(qidx)}, {race}, {quantile})")
-            wages[t, c] = cells[key]
-    return QuarterlyPanel(tuple(format_quarter(i) for i in qindices), wages)
+    return QuarterlyPanel(*_read_cells(source, _WAGE_HEADER, positive=True))
 
 
 def parse_shock_csv(source) -> ShockSeries:
     """Parse a shock CSV (header: quarter,shock), one value per quarter."""
-    seen = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["quarter", "shock"]:
-            raise PanelError(f"bad shock CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise PanelError(f"row {lineno}: expected 2 fields, got {len(row)}")
-            quarter, value_text = (f.strip() for f in row)
-            qidx = parse_quarter(quarter)
-            if qidx in seen:
-                raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise PanelError(f"row {lineno}: non-numeric shock {value_text!r}") from None
-            if not np.isfinite(value):
-                raise PanelError(f"row {lineno}: shock must be finite")
-            seen[qidx] = value
-    if not seen:
-        raise PanelError("shock CSV contains no data rows")
-    qindices = sorted(seen)
-    for a, b in zip(qindices, qindices[1:]):
-        if b != a + 1:
-            raise PanelError(f"gap in quarters between {format_quarter(a)} and {format_quarter(b)}")
-    values = np.array([seen[i] for i in qindices])
-    return ShockSeries(tuple(format_quarter(i) for i in qindices), values)
+    quarters, values = _read_by_quarter(source, _SHOCK_HEADER)
+    return ShockSeries(quarters, values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -281,8 +291,7 @@ def build_distribution(panel: QuarterlyPanel, quarter: str):
     if quarter not in panel.quarters:
         raise PanelError(f"quarter {quarter} not in panel")
     t = panel.quarters.index(quarter)
-    part = Partition([q for q, _ in CELLS])
-    return panel.wages[t].copy(), part
+    return panel.wages[t].copy(), _QUANTILE_PARTITION
 
 
 @dataclass(frozen=True)
@@ -383,70 +392,46 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def write_wage_csv(panel: QuarterlyPanel, path) -> None:
-    """Write a panel in the documented wage CSV input format."""
+def _write_rows(path, header, rows) -> None:
+    """Write a header and rows of fields to a CSV file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter", "race", "quantile", "wage"])
-        for t, quarter in enumerate(panel.quarters):
-            for c, (quantile, race) in enumerate(CELLS):
-                writer.writerow([quarter, race, quantile, _fmt(panel.wages[t, c])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_cells(path, header, quarters, grid) -> None:
+    _write_rows(
+        path,
+        header,
+        ((quarter, race, quantile, _fmt(v)) for quarter, row in zip(quarters, grid.tolist())
+         for (quantile, race), v in zip(CELLS, row)),
+    )
+
+
+def write_wage_csv(panel: QuarterlyPanel, path) -> None:
+    """Write a panel in the documented wage CSV input format."""
+    _write_cells(path, _WAGE_HEADER, panel.quarters, panel.wages)
 
 
 def write_shock_csv(shocks: ShockSeries, path) -> None:
     """Write a shock series in the documented shock CSV input format."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter", "shock"])
-        for t, quarter in enumerate(shocks.quarters):
-            writer.writerow([quarter, _fmt(shocks.values[t])])
+    _write_rows(path, _SHOCK_HEADER, zip(shocks.quarters, map(_fmt, shocks.values.tolist())))
 
 
 def write_series_csv(series: InequalitySeries, path) -> None:
     """Write the decomposition series in the documented output format."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
-        for t, quarter in enumerate(series.quarters):
-            writer.writerow(
-                [quarter]
-                + [
-                    _fmt(v)
-                    for v in (
-                        series.total[t],
-                        series.within[t, 0],
-                        series.within[t, 1],
-                        series.within[t, 2],
-                        series.between[t],
-                        series.within_share[t],
-                        series.between_share[t],
-                    )
-                ]
-            )
+    columns = np.column_stack(
+        [series.total, series.within, series.between, series.within_share, series.between_share]
+    )
+    _write_rows(
+        path, SERIES_HEADER, ((q, *map(_fmt, row)) for q, row in zip(series.quarters, columns.tolist()))
+    )
 
 
 def read_series_csv(source) -> InequalitySeries:
     """Read a decomposition series written by write_series_csv."""
-    rows = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != SERIES_HEADER:
-            raise PanelError(f"bad series CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SERIES_HEADER):
-                raise PanelError(f"row {lineno}: expected {len(SERIES_HEADER)} fields")
-            parse_quarter(row[0])
-            try:
-                rows.append((row[0].strip(), [float(v) for v in row[1:]]))
-            except ValueError:
-                raise PanelError(f"row {lineno}: non-numeric value") from None
-    if not rows:
-        raise PanelError("series CSV contains no data rows")
-    quarters = tuple(q for q, _ in rows)
-    vals = np.array([v for _, v in rows])
+    quarters, vals = _read_by_quarter(source, SERIES_HEADER)
     total = vals[:, 0]
     return InequalitySeries(
         quarters=quarters,
@@ -461,41 +446,9 @@ def read_series_csv(source) -> InequalitySeries:
 
 def write_growth_csv(series: GrowthSeries, path) -> None:
     """Write growth rates as quarter,race,quantile,growth_pct rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter", "race", "quantile", "growth_pct"])
-        for t, quarter in enumerate(series.quarters):
-            for c, (quantile, race) in enumerate(CELLS):
-                writer.writerow([quarter, race, quantile, _fmt(series.growth[t, c])])
+    _write_cells(path, _GROWTH_HEADER, series.quarters, series.growth)
 
 
 def read_growth_csv(source) -> GrowthSeries:
     """Read a growth CSV written by write_growth_csv."""
-    cells = {}
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["quarter", "race", "quantile", "growth_pct"]:
-            raise PanelError(f"bad growth CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise PanelError(f"row {lineno}: expected 4 fields")
-            quarter, race, quantile, value = (f.strip() for f in row)
-            qidx = parse_quarter(quarter)
-            if race not in RACES or quantile not in QUANTILES:
-                raise PanelError(f"row {lineno}: unknown cell ({race}, {quantile})")
-            try:
-                cells[(qidx, quantile, race)] = float(value)
-            except ValueError:
-                raise PanelError(f"row {lineno}: non-numeric growth") from None
-    qindices = sorted({k[0] for k in cells})
-    growth = np.empty((len(qindices), 9))
-    for t, qidx in enumerate(qindices):
-        for c, (quantile, race) in enumerate(CELLS):
-            key = (qidx, quantile, race)
-            if key not in cells:
-                raise PanelError(f"missing growth cell ({format_quarter(qidx)}, {race}, {quantile})")
-            growth[t, c] = cells[key]
-    return GrowthSeries(tuple(format_quarter(i) for i in qindices), growth)
+    return GrowthSeries(*_read_cells(source, _GROWTH_HEADER))

@@ -49,6 +49,10 @@ def _as_distribution(values) -> np.ndarray:
     return arr
 
 
+_NO_INDICES = np.array([], dtype=int)
+_NO_INDICES.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of distribution indices to l >= 2 disjoint covering groups.
@@ -60,8 +64,16 @@ class Partition:
     labels: tuple
 
     def __init__(self, labels):
-        object.__setattr__(self, "labels", tuple(labels))
-        if len(self.labels) == 0:
+        labels = tuple(labels)
+        index = {}  # group -> its indices, groups in order of first appearance
+        for i, g in enumerate(labels):
+            index.setdefault(g, []).append(i)
+        for g, idx in index.items():
+            index[g] = np.array(idx, dtype=int)
+            index[g].flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", index)
+        if len(labels) == 0:
             raise DomainError("partition must cover at least one index")
         if self.group_count < 2:
             raise DomainError(f"partition needs at least 2 groups, got {self.group_count}")
@@ -73,19 +85,15 @@ class Partition:
     @property
     def groups(self) -> tuple:
         """Group names in order of first appearance."""
-        seen = []
-        for g in self.labels:
-            if g not in seen:
-                seen.append(g)
-        return tuple(seen)
+        return tuple(self._index)
 
     @property
     def group_count(self) -> int:
-        return len(set(self.labels))
+        return len(self._index)
 
     def indices(self, group) -> np.ndarray:
-        """Indices belonging to ``group``."""
-        return np.array([i for i, g in enumerate(self.labels) if g == group], dtype=int)
+        """Indices belonging to ``group`` (read-only)."""
+        return self._index.get(group, _NO_INDICES)
 
     @classmethod
     def from_sizes(cls, sizes) -> "Partition":
@@ -99,6 +107,15 @@ class Partition:
 def _check_lengths(dist: np.ndarray, part: Partition) -> None:
     if part.n != dist.size:
         raise DomainError(f"partition covers {part.n} indices but distribution has {dist.size}")
+
+
+def _rescale(arr: np.ndarray) -> np.ndarray:
+    """Scale wages so that their sum stays below the largest float.
+
+    Only subnormal wages can flush to 0 here; their share of a sum that
+    overflowed underflows to 0 in any case.
+    """
+    return arr / (2 * arr.size)
 
 
 def theil_index(values) -> float:
@@ -116,10 +133,16 @@ def theil_index(values) -> float:
     """
     arr = _as_distribution(values)
     total = arr.sum()
-    if not math.isfinite(total):  # the sum overflowed; shares do not depend on the scale
-        return theil_index(arr / arr.max())
-    shares = arr / total
-    val = float(np.sum(shares * np.log(arr.size * shares)))
+    if math.isfinite(total):
+        shares = arr / total
+    else:  # the sum overflowed; shares do not depend on the scale
+        scaled = _rescale(arr)
+        shares = scaled / scaled.sum()
+    if shares.all():
+        val = float(np.sum(shares * np.log(arr.size * shares)))
+    else:  # a share that underflowed to 0 contributes its limit 0 * ln 0 = 0
+        shares = shares[shares > 0.0]
+        val = float(np.sum(shares * np.log(arr.size * shares)))
     # rounding can leave a tiny negative residue at near-equality
     return max(val, 0.0)
 
@@ -134,8 +157,11 @@ def smoothed_distribution(values, part: Partition) -> np.ndarray:
     _check_lengths(arr, part)
     out = np.empty_like(arr)
     for g in part.groups:
-        idx = part.indices(g)
-        out[idx] = arr[idx].mean()
+        sub = arr[part.indices(g)]
+        mean = sub.mean()
+        if not math.isfinite(mean):  # the group sum overflowed; average relative to the maximum
+            mean = sub.max() * (sub / sub.max()).mean()
+        out[part.indices(g)] = mean
     return out
 
 
@@ -175,18 +201,14 @@ def decompose(values, part: Partition) -> DecompositionResult:
     """
     arr = _as_distribution(values)
     _check_lengths(arr, part)
-    total_wage = arr.sum()
+    scaled = arr if math.isfinite(arr.sum()) else _rescale(arr)  # the weights are scale free
+    total_wage = scaled.sum()
     terms = []
     for g in part.groups:
-        sub = arr[part.indices(g)]
-        terms.append(
-            GroupTerm(
-                group=g,
-                weight=float(sub.sum() / total_wage),
-                index=theil_index(sub),
-                contribution=float(sub.sum() / total_wage) * theil_index(sub),
-            )
-        )
+        idx = part.indices(g)
+        weight = float(scaled[idx].sum() / total_wage)
+        index = theil_index(arr[idx])
+        terms.append(GroupTerm(group=g, weight=weight, index=index, contribution=weight * index))
     return DecompositionResult(
         total=theil_index(arr),
         groups=tuple(terms),

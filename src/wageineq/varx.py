@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import parse_quarter
+from .panel import _fmt, _read_rows, _write_rows, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -36,6 +36,9 @@ __all__ = [
     "write_irf_csv",
     "read_irf_csv",
 ]
+
+
+_IRF_HEADER = ("horizon", "variable", "point", "lower", "upper")
 
 
 class VarxError(ValueError):
@@ -421,46 +424,29 @@ def companion_spectral_radius(model: VarxModel) -> float:
 
 def write_irf_csv(irf: ImpulseResponse, path) -> None:
     """Write responses as horizon,variable,point,lower,upper rows."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["horizon", "variable", "point", "lower", "upper"])
-        for h in range(irf.horizon + 1):
-            for i, name in enumerate(irf.names):
-                writer.writerow(
-                    [h, name]
-                    + [f"{v:.10g}" for v in (irf.point[h, i], irf.lower[h, i], irf.upper[h, i])]
-                )
+    _write_rows(
+        path,
+        _IRF_HEADER,
+        ((h, name, *map(_fmt, (irf.point[h, i], irf.lower[h, i], irf.upper[h, i])))
+         for h in range(irf.horizon + 1) for i, name in enumerate(irf.names)),
+    )
 
 
 def read_irf_csv(source) -> ImpulseResponse:
     """Read a response table written by write_irf_csv."""
-    import csv
-
-    from .panel import _open_text
-
     entries = {}
     names = []
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["horizon", "variable", "point", "lower", "upper"]:
-            raise VarxError(f"bad IRF CSV header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise VarxError(f"row {lineno}: expected 5 fields")
-            try:
-                h = int(row[0])
-                vals = tuple(float(v) for v in row[2:])
-            except ValueError:
-                raise VarxError(f"row {lineno}: non-numeric value") from None
-            name = row[1].strip()
-            if name not in names:
-                names.append(name)
-            entries[(h, name)] = vals
+    for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
+        try:
+            key = (int(h_text), name)
+            vals = tuple(float(v) for v in val_texts)
+        except ValueError:
+            raise VarxError(f"row {lineno}: non-numeric value") from None
+        if key in entries:
+            raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
+        if name not in names:
+            names.append(name)
+        entries[key] = vals
     if not entries:
         raise VarxError("IRF CSV contains no data rows")
     H = max(h for h, _ in entries)

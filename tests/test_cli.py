@@ -238,3 +238,111 @@ class TestDemo:
         result = runner.invoke(main, ["demo", "--out", str(tmp_path / "d"), "--reps", "100"])
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 4
+
+
+def assert_clean_failure(result, *fragments):
+    """Non-zero exit through click's own error path, naming each fragment."""
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    for fragment in fragments:
+        assert fragment in result.output, result.output
+
+
+class TestConfigFile:
+    def test_every_command_reads_config(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "out": str(tmp_path / "g"), "method": "log_qoq"}))
+        result = runner.invoke(main, ["growth", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "log_qoq" in result.output
+        cfg.write_text(
+            json.dumps(
+                {
+                    "wages": str(wages), "shocks": str(shocks), "out": str(tmp_path / "i"),
+                    "reps": 100, "endo_lags": 2, "no_contemporaneous": True,
+                    "standardize": False, "per_component": True, "targets": ["components"],
+                    "band_method": "percentile", "start": "2001Q1", "horizon": 4,
+                }
+            )
+        )
+        result = runner.invoke(main, ["irf", "--config", str(cfg), "--horizon", "3"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "i" / "manifest.json").read_text())
+        assert manifest["spec"]["endogenous_lags"] == 2
+        assert manifest["spec"]["contemporaneous_shock"] is False
+        assert manifest["spec"]["band_method"] == "percentile"
+        assert manifest["spec"]["horizon"] == 3  # the flag beats the config
+        assert manifest["standardize"] is False
+        assert manifest["per_component"] is True
+        assert manifest["start"] == "2001Q1"
+        assert len(manifest["files"]) == 4
+
+    def test_malformed_json(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"reps": 100,')
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert_clean_failure(result, "run.json", "not a readable JSON file")
+
+    def test_json_array(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        result = runner.invoke(main, ["decompose", "--config", str(cfg)])
+        assert_clean_failure(result, "run.json", "must hold a JSON object")
+
+    def test_unknown_key(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "shocks": str(shocks), "rep": 100}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert_clean_failure(result, "run.json", "unknown key 'rep'")
+        assert not (tmp_path / "out").exists()
+
+    def test_key_of_another_command(self, runner, inputs, tmp_path):
+        wages, _ = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "reps": 100}))
+        result = runner.invoke(main, ["decompose", "--config", str(cfg)])
+        assert_clean_failure(result, "unknown key 'reps'")
+
+    def test_required_inputs_still_named(self, runner, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"reps": 100}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert_clean_failure(result, "--wages and --shocks (or config entries) are required")
+
+
+class TestControlNames:
+    def run_with_controls(self, runner, inputs, tmp_path, *names):
+        wages, shocks = inputs
+        quarters = pn.parse_wage_csv(wages).quarters
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "o")]
+        for i, name in enumerate(names):
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            pn.write_shock_csv(synthetic_shock_series(quarters, seed=i), path)
+            args += ["--control", str(path)]
+        return runner.invoke(main, args + TestIrf.ARGS)
+
+    def test_control_named_like_a_component(self, runner, inputs, tmp_path):
+        result = self.run_with_controls(runner, inputs, tmp_path, "between.csv")
+        assert_clean_failure(result, "between.csv", "'between'")
+        assert "RankError" not in result.output and "lag1" not in result.output
+
+    def test_control_named_total(self, runner, inputs, tmp_path):
+        result = self.run_with_controls(runner, inputs, tmp_path, "total.csv")
+        assert_clean_failure(result, "total.csv", "'total'")
+
+    def test_controls_sharing_a_stem(self, runner, inputs, tmp_path):
+        result = self.run_with_controls(runner, inputs, tmp_path, "a/indpro.csv", "b/indpro.csv")
+        assert_clean_failure(
+            result, str(tmp_path / "a" / "indpro.csv"), str(tmp_path / "b" / "indpro.csv")
+        )
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_distinct_stems_run(self, runner, inputs, tmp_path):
+        result = self.run_with_controls(runner, inputs, tmp_path, "a/indpro.csv", "b/employment.csv")
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert sorted(manifest["controls"]) == ["employment", "indpro"]

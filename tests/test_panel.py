@@ -1,5 +1,7 @@
 """Tests for panel ingestion, alignment, and series construction."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ class TestQuarterLabels:
 
 class TestParseWageCsv:
     def test_well_formed_two_quarters(self):
-        panel = pn.parse_wage_csv(FLAT)
+        panel = pn.parse_wage_csv(io.StringIO(FLAT))
         assert panel.n_quarters == 2
         assert panel.quarters == ("2005Q1", "2005Q2")
         assert panel.wage("2005Q1", "Black", "Q3") == 900
@@ -47,64 +49,64 @@ class TestParseWageCsv:
     def test_rows_may_be_unordered(self):
         lines = FLAT.strip().splitlines()
         shuffled = [lines[0]] + lines[:0:-1]
-        panel = pn.parse_wage_csv("\n".join(shuffled))
-        assert np.array_equal(panel.wages, pn.parse_wage_csv(FLAT).wages)
+        panel = pn.parse_wage_csv(io.StringIO("\n".join(shuffled)))
+        assert np.array_equal(panel.wages, pn.parse_wage_csv(io.StringIO(FLAT)).wages)
 
     def test_missing_cell_names_it(self):
         broken = "\n".join(
             l for l in FLAT.splitlines() if not l.startswith("2005Q2,Asian,Q3")
         )
         with pytest.raises(pn.PanelError, match=r"2005Q2.*Asian.*Q3"):
-            pn.parse_wage_csv(broken)
+            pn.parse_wage_csv(io.StringIO(broken))
 
     def test_zero_wage_rejected(self):
         with pytest.raises(pn.PanelError, match="positive"):
-            pn.parse_wage_csv(FLAT.replace("2005Q1,Asian,D1,500", "2005Q1,Asian,D1,0"))
+            pn.parse_wage_csv(io.StringIO(FLAT.replace("2005Q1,Asian,D1,500", "2005Q1,Asian,D1,0")))
 
     def test_duplicate_cell_rejected(self):
         with pytest.raises(pn.PanelError, match="duplicate"):
-            pn.parse_wage_csv(FLAT + "2005Q1,Asian,D1,500\n")
+            pn.parse_wage_csv(io.StringIO(FLAT + "2005Q1,Asian,D1,500\n"))
 
     def test_gap_in_quarters_rejected(self):
         text = wage_csv_text(["2005Q1", "2005Q3"], lambda q, r, u: 100)
         with pytest.raises(pn.PanelError, match="gap"):
-            pn.parse_wage_csv(text)
+            pn.parse_wage_csv(io.StringIO(text))
 
     def test_non_numeric_wage_reports_row(self):
         with pytest.raises(pn.PanelError, match=r"row \d+"):
-            pn.parse_wage_csv(FLAT.replace("2005Q1,Asian,D1,500", "2005Q1,Asian,D1,abc"))
+            pn.parse_wage_csv(io.StringIO(FLAT.replace("2005Q1,Asian,D1,500", "2005Q1,Asian,D1,abc")))
 
     def test_unknown_race_rejected(self):
         with pytest.raises(pn.PanelError, match="race"):
-            pn.parse_wage_csv(FLAT + "2005Q1,Martian,D1,500\n")
+            pn.parse_wage_csv(io.StringIO(FLAT + "2005Q1,Martian,D1,500\n"))
 
     def test_bad_header(self):
         with pytest.raises(pn.PanelError, match="header"):
-            pn.parse_wage_csv("a,b,c,d\n")
+            pn.parse_wage_csv(io.StringIO("a,b,c,d\n"))
 
     def test_accepts_bytes_and_crlf(self):
         data = FLAT.replace("\n", "\r\n").encode("utf-8")
-        assert pn.parse_wage_csv(data).n_quarters == 2
+        assert pn.parse_wage_csv(io.StringIO(data.decode("utf-8"))).n_quarters == 2
 
     def test_quantile_order_enforced(self):
         text = wage_csv_text(["2005Q1"], lambda q, r, u: {"D1": 900, "Q3": 500, "D9": 1500}[u])
         with pytest.raises(pn.PanelError, match="out of order"):
-            pn.parse_wage_csv(text)
+            pn.parse_wage_csv(io.StringIO(text))
 
 
 class TestParseShockCsv:
     def test_three_rows(self):
-        s = pn.parse_shock_csv("quarter,shock\n2005Q1,0.1\n2005Q2,-0.2\n2005Q3,0\n")
+        s = pn.parse_shock_csv(io.StringIO("quarter,shock\n2005Q1,0.1\n2005Q2,-0.2\n2005Q3,0\n"))
         assert s.quarters == ("2005Q1", "2005Q2", "2005Q3")
         assert np.allclose(s.values, [0.1, -0.2, 0.0])
 
     def test_duplicate_quarter(self):
         with pytest.raises(pn.PanelError, match="duplicate"):
-            pn.parse_shock_csv("quarter,shock\n2005Q1,0.1\n2005Q1,0.2\n")
+            pn.parse_shock_csv(io.StringIO("quarter,shock\n2005Q1,0.1\n2005Q1,0.2\n"))
 
     def test_non_numeric_value_reports_row(self):
         with pytest.raises(pn.PanelError, match="row 3"):
-            pn.parse_shock_csv("quarter,shock\n2005Q1,0.1\n2005Q2,bad\n")
+            pn.parse_shock_csv(io.StringIO("quarter,shock\n2005Q1,0.1\n2005Q2,bad\n"))
 
 
 class TestAlign:
@@ -146,7 +148,7 @@ class TestBuildDistribution:
                 return {"Asian": 100, "Black": 100, "White": 200}[r]
             return {"Q3": 400, "D9": 800}[u]
 
-        panel = pn.parse_wage_csv(wage_csv_text(["2000Q1"], wage))
+        panel = pn.parse_wage_csv(io.StringIO(wage_csv_text(["2000Q1"], wage)))
         series = pn.compute_series(panel)
         assert series.within[0, 0] > 0
         assert series.within[0, 1] == 0.0
@@ -182,7 +184,7 @@ class TestComputeSeries:
         text = wage_csv_text(
             ["2000Q1", "2000Q2"], lambda q, r, u: {"D1": 300, "Q3": 700, "D9": 1400}[u]
         )
-        series = pn.compute_series(pn.parse_wage_csv(text))
+        series = pn.compute_series(pn.parse_wage_csv(io.StringIO(text)))
         assert np.all(series.within == 0.0)
         assert np.all(series.within_share == 0.0)
 
@@ -196,8 +198,8 @@ class TestComputeSeries:
             return {"D1": 400, "Q3": 800, "D9": 1600}[u] + 7 * len(r) + 3 * int(q[5])
 
         text = wage_csv_text(make_quarters("2000Q1", 8), wage)
-        a = pn.compute_series(pn.parse_wage_csv(text))
-        b = pn.compute_series(pn.parse_wage_csv(text))
+        a = pn.compute_series(pn.parse_wage_csv(io.StringIO(text)))
+        b = pn.compute_series(pn.parse_wage_csv(io.StringIO(text)))
         assert np.array_equal(a.total, b.total)
         assert np.array_equal(a.within, b.within)
 
@@ -299,3 +301,78 @@ class TestCsvRoundTrips:
         back = pn.parse_shock_csv(str(path))
         assert back.quarters == shocks.quarters
         assert np.allclose(back.values, shocks.values, rtol=1e-9)
+
+
+class TestReaders:
+    """The readers take a path or an open text file and reject malformed rows."""
+
+    GROWTH_HEADER = "quarter,race,quantile,growth_pct\n"
+
+    def test_paths_with_commas_are_paths(self, tmp_path):
+        from wageineq import varx as vx
+
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        panel = synthetic_wage_panel(12)
+        pn.write_wage_csv(panel, folder / "wages.csv")
+        pn.write_shock_csv(synthetic_shock_series(panel.quarters), folder / "shocks.csv")
+        pn.write_series_csv(pn.compute_series(panel), folder / "series.csv")
+        pn.write_growth_csv(pn.growth_rates(panel), folder / "growth.csv")
+        irf = vx.ImpulseResponse(("total",), np.zeros((3, 1)), -np.ones((3, 1)), np.ones((3, 1)))
+        vx.write_irf_csv(irf, folder / "irf.csv")
+        for read in (str, lambda p: p):  # str paths and Path objects
+            assert pn.parse_wage_csv(read(folder / "wages.csv")).quarters == panel.quarters
+            assert pn.parse_shock_csv(read(folder / "shocks.csv")).quarters == panel.quarters
+            assert pn.read_series_csv(read(folder / "series.csv")).quarters == panel.quarters
+            assert len(pn.read_growth_csv(read(folder / "growth.csv")).quarters) == 8
+            assert vx.read_irf_csv(read(folder / "irf.csv")).names == ("total",)
+
+    def test_open_file(self, tmp_path):
+        path = tmp_path / "shocks.csv"
+        path.write_text("quarter,shock\n2005Q1,0.1\n\n2005Q2,0.2\n")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert pn.parse_shock_csv(fh).quarters == ("2005Q1", "2005Q2")
+
+    def test_field_count_checked(self):
+        with pytest.raises(pn.PanelError, match="row 3: expected 2 fields, got 3"):
+            pn.parse_shock_csv(io.StringIO("quarter,shock\n2005Q1,0.1\n2005Q2,0.2,9\n"))
+
+    def growth_text(self, quarters):
+        return self.GROWTH_HEADER + "".join(
+            f"{q},{race},{quantile},1.5\n" for q in quarters for quantile, race in pn.CELLS
+        )
+
+    def test_growth_rejects_empty_file(self):
+        with pytest.raises(pn.PanelError, match="no data rows"):
+            pn.read_growth_csv(io.StringIO(self.GROWTH_HEADER))
+
+    def test_growth_rejects_duplicate_cell(self):
+        text = self.growth_text(["2005Q1"]) + "2005Q1,Black,D9,2.0\n"
+        with pytest.raises(pn.PanelError, match=r"row 11: duplicate cell \(2005Q1, Black, D9\)"):
+            pn.read_growth_csv(io.StringIO(text))
+
+    def test_growth_rejects_quarter_gap(self):
+        with pytest.raises(pn.PanelError, match="gap in quarters between 2005Q1 and 2005Q3"):
+            pn.read_growth_csv(io.StringIO(self.growth_text(["2005Q1", "2005Q3"])))
+
+    def test_growth_rejects_missing_cell(self):
+        text = self.growth_text(["2005Q1"]).replace("2005Q1,White,Q3,1.5\n", "")
+        with pytest.raises(pn.PanelError, match=r"missing growth_pct cell \(2005Q1, White, Q3\)"):
+            pn.read_growth_csv(io.StringIO(text))
+
+    def series_text(self, quarters):
+        return ",".join(pn.SERIES_HEADER) + "\n" + "".join(
+            f"{q},0.2,0.01,0.01,0.01,0.17,0.15,0.85\n" for q in quarters
+        )
+
+    def test_series_rejects_duplicate_quarter(self):
+        with pytest.raises(pn.PanelError, match="row 3: duplicate quarter 2005Q1"):
+            pn.read_series_csv(io.StringIO(self.series_text(["2005Q1", "2005Q1"])))
+
+    def test_series_rejects_non_contiguous_quarters(self):
+        with pytest.raises(pn.PanelError, match="gap in quarters between 2005Q1 and 2006Q1"):
+            pn.read_series_csv(io.StringIO(self.series_text(["2005Q1", "2006Q1"])))
+
+    def test_text_is_not_taken_for_a_file(self):
+        with pytest.raises(FileNotFoundError):
+            pn.parse_shock_csv("quarter,shock\n2005Q1,0.1\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wageineq.theil import (
     DomainError,
@@ -207,3 +209,99 @@ class TestProperties:
             shifted[hi] -= delta
             shifted[lo] += delta
             assert theil_index(shifted) < theil_index(dist)
+
+
+positive_wages = st.lists(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=30
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestExtremeMagnitudes:
+    """Valid wages spanning the whole float range give finite, bounded results."""
+
+    def test_underflowed_share_contributes_zero(self):
+        # 1e-30 / 1e300 underflows to a share of 0; 0 * ln 0 is taken as its limit 0
+        assert theil_index([1e300, 1e-30]) == pytest.approx(math.log(2), abs=1e-15)
+        assert theil_index([1e200, 1e-200, 1.0]) == pytest.approx(math.log(3), abs=1e-15)
+
+    def test_overflow_keeps_tiny_wages(self):
+        # dividing by the maximum would flush 1e-20 to 0 and reject it
+        assert theil_index([1e308, 1e308, 1e-20]) == pytest.approx(math.log(1.5), abs=1e-12)
+        assert theil_index([1e308, 1e308, 5e-324]) == pytest.approx(math.log(1.5), abs=1e-12)
+
+    def test_largest_floats(self):
+        top = np.finfo(float).max
+        assert theil_index([top, top, top]) == 0.0
+        assert theil_index([top, top / 2]) == pytest.approx(theil_index([2.0, 1.0]), abs=1e-15)
+
+    @given(positive_wages)
+    @settings(max_examples=300, deadline=None)
+    def test_index_finite_and_bounded(self, wages):
+        val = theil_index(wages)
+        assert math.isfinite(val)
+        assert 0.0 <= val <= math.log(len(wages)) * (1 + 1e-12)
+
+    def test_decompose_sum_overflow(self):
+        res = decompose([1e308, 1e308, 1.0, 2.0], Partition.from_sizes([2, 2]))
+        assert res.total == pytest.approx(math.log(2), abs=1e-12)
+        assert res.groups[0].weight == pytest.approx(1.0, abs=1e-15)
+        assert res.groups[1].index == pytest.approx(theil_index([1.0, 2.0]), abs=1e-15)
+        assert res.between == pytest.approx(math.log(2), abs=1e-12)
+        assert res.identity_residual() < 1e-12
+        # a group whose share underflows keeps its own index; its weight is 0
+        tiny = decompose([1e308, 1e308, 1e-20, 2e-20], Partition.from_sizes([2, 2]))
+        assert tiny.groups[1].weight == 0.0
+        assert tiny.groups[1].index == pytest.approx(theil_index([1.0, 2.0]), abs=1e-15)
+        assert tiny.between == pytest.approx(math.log(2), abs=1e-12)
+
+    @staticmethod
+    def draw_partition(data, n):
+        l = data.draw(st.integers(2, min(4, n)))
+        return Partition(data.draw(st.permutations(list(range(l)) + [i % l for i in range(n - l)])))
+
+    @given(positive_wages.filter(lambda w: len(w) >= 2), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decompose_identity_any_wages(self, wages, data):
+        res = decompose(wages, self.draw_partition(data, len(wages)))
+        assert 0.0 <= res.total <= math.log(len(wages)) * (1 + 1e-12)
+        assert all(math.isfinite(g.contribution) for g in res.groups)
+        assert res.identity_residual() <= 1e-12
+
+    @given(
+        st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=20),
+        st.data(),
+        st.sampled_from([1e-300, 1e-10, 1.0, 1e10, 1e300, 1e304, 1e305]),  # 1e305 * 1e3 overflows a sum
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decompose_scale_invariance(self, wages, data, scale):
+        part = self.draw_partition(data, len(wages))
+        base = decompose(wages, part)
+        res = decompose(np.array(wages) * scale, part)
+        assert res.identity_residual() <= 1e-12
+        assert res.total == pytest.approx(base.total, abs=1e-12)
+        assert res.between == pytest.approx(base.between, abs=1e-12)
+        assert res.within == pytest.approx(base.within, abs=1e-12)
+
+    def test_smoothed_group_mean_overflow(self):
+        part = Partition.from_sizes([2, 2])
+        assert list(smoothed_distribution([1e308, 1e308, 1.0, 3.0], part)) == [1e308, 1e308, 2.0, 2.0]
+
+    def test_decompose_indexes_each_group_once(self, monkeypatch):
+        import wageineq.theil as theil
+
+        calls = []
+        real = theil.theil_index
+        monkeypatch.setattr(theil, "theil_index", lambda v: calls.append(len(v)) or real(v))
+        theil.decompose([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], Partition.from_sizes([3, 3, 3]))
+        assert calls == [3, 3, 3, 9, 9]  # each group, the total, the between term
+
+
+class TestPartitionIndexCache:
+    def test_indices_are_stored_read_only(self):
+        part = Partition(["b", "a", "b", "c"])
+        assert part.indices("b") is part.indices("b")
+        with pytest.raises(ValueError):
+            part.indices("b")[0] = 3
+        assert list(part.indices("z")) == []
+        assert part == Partition(["b", "a", "b", "c"])

@@ -1,5 +1,7 @@
 """Tests for VARX estimation, dynamic multipliers, and bootstrap bands."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -501,3 +503,16 @@ class TestIrfCsv:
         assert back.names == irf.names
         assert np.allclose(back.point, irf.point, rtol=1e-9)
         assert np.allclose(back.lower, irf.lower, rtol=1e-9)
+
+
+class TestIrfCsvValidation:
+    HEADER = "horizon,variable,point,lower,upper\n"
+
+    def test_rejects_duplicate_entry(self):
+        text = self.HEADER + "0,total,1,0,2\n1,total,1,0,2\n0,total,5,4,6\n"
+        with pytest.raises(vx.VarxError, match="row 4: duplicate entry for horizon 0, variable total"):
+            vx.read_irf_csv(io.StringIO(text))
+
+    def test_rejects_bad_header(self):
+        with pytest.raises(vx.VarxError, match="header"):
+            vx.read_irf_csv(io.StringIO("h,variable,point,lower,upper\n0,total,1,0,2\n"))
