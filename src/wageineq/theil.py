@@ -138,11 +138,9 @@ def theil_index(values) -> float:
     else:  # the sum overflowed; shares do not depend on the scale
         scaled = _rescale(arr)
         shares = scaled / scaled.sum()
-    if shares.all():
-        val = float(np.sum(shares * np.log(arr.size * shares)))
-    else:  # a share that underflowed to 0 contributes its limit 0 * ln 0 = 0
+    if not shares.all():  # a share that underflowed to 0 contributes its limit 0 * ln 0 = 0
         shares = shares[shares > 0.0]
-        val = float(np.sum(shares * np.log(arr.size * shares)))
+    val = float(np.sum(shares * np.log(arr.size * shares)))
     # rounding can leave a tiny negative residue at near-equality
     return max(val, 0.0)
 
@@ -157,11 +155,12 @@ def smoothed_distribution(values, part: Partition) -> np.ndarray:
     _check_lengths(arr, part)
     out = np.empty_like(arr)
     for g in part.groups:
-        sub = arr[part.indices(g)]
-        mean = sub.mean()
+        idx = part.indices(g)
+        mean = arr[idx].mean()
         if not math.isfinite(mean):  # the group sum overflowed; average relative to the maximum
-            mean = sub.max() * (sub / sub.max()).mean()
-        out[part.indices(g)] = mean
+            top = arr[idx].max()
+            mean = top * (arr[idx] / top).mean()
+        out[idx] = mean
     return out
 
 
