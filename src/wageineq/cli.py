@@ -121,7 +121,7 @@ def run_irf(
             raise pn.PanelError(f"control series {control_paths[name]} and {path} share the name {name!r}")
         control_paths[name] = path
         ctrl = pn.parse_shock_csv(path)
-        missing = [q for q in aligned.quarters if q not in set(ctrl.quarters)]
+        missing = sorted(set(aligned.quarters) - set(ctrl.quarters))
         if missing:
             raise pn.PanelError(
                 f"control series {path} does not cover quarter {missing[0]}"
@@ -155,6 +155,7 @@ def run_irf(
             raise click.ClickException(f"unknown target {target!r}")
 
     dropped = {}  # output file -> bootstrap replications dropped
+    radius = {}  # output file -> companion spectral radius of the point fit
     for label, var_names in runs:
         data = make_data(var_names)
         design = vx.build_design(data, spec)
@@ -163,6 +164,7 @@ def run_irf(
         fname = f"irf_{label}.csv"
         vx.write_irf_csv(irf, out_dir / fname)
         dropped[fname] = irf.dropped
+        radius[fname] = vx.companion_spectral_radius(model)
 
     manifest = {
         "wage_csv": {"path": str(wage_csv), "sha256": _sha256(wage_csv)},
@@ -187,6 +189,7 @@ def run_irf(
         },
         "files": list(dropped),
         "bootstrap_dropped": dropped,
+        "companion_spectral_radius": radius,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -278,6 +281,9 @@ def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_con
         )
     except (pn.PanelError, vx.VarxError, DomainError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
+    explosive = [f for f, r in manifest["companion_spectral_radius"].items() if r >= 1.0]
+    if explosive:
+        click.echo(f"warning: companion spectral radius >= 1 (explosive fit) for {', '.join(explosive)}", err=True)
     for fname in manifest["files"]:
         click.echo(f"wrote {Path(out) / fname}")
     click.echo(f"wrote {Path(out) / 'manifest.json'}")

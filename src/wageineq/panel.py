@@ -21,7 +21,7 @@ RACES = ("Asian", "Black", "White")
 QUANTILES = ("D1", "Q3", "D9")
 # canonical 9-cell order: quantile-major, race alphabetical
 CELLS = tuple((q, r) for q in QUANTILES for r in RACES)
-# partitions are immutable, so every quarter shares this one
+# partitions are immutable, so compute_series and build_distribution share this one
 _QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
 
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
@@ -100,14 +100,11 @@ class QuarterlyPanel:
     wages: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        idx = [parse_quarter(q) for q in self.quarters]
-        if len(idx) == 0:
+        if not self.quarters:
             raise PanelError("panel has no quarters")
-        for a, b, qa in zip(idx, idx[1:], self.quarters):
-            if b != a + 1:
-                raise PanelError(f"gap or disorder in quarters after {qa}")
-        if self.wages.shape != (len(idx), 9):
-            raise PanelError(f"wage grid shape {self.wages.shape} does not match {len(idx)} quarters")
+        _check_run(self.quarters)
+        if self.wages.shape != (self.n_quarters, 9):
+            raise PanelError(f"wage grid shape {self.wages.shape} does not match {self.n_quarters} quarters")
         if not np.all(np.isfinite(self.wages)) or np.any(self.wages <= 0):
             raise PanelError("panel wages must be positive and finite")
         # monotone D1 <= Q3 <= D9 per race
@@ -126,9 +123,10 @@ class QuarterlyPanel:
         return float(self.wages[t, CELLS.index((quantile, race))])
 
     def restrict(self, quarters) -> "QuarterlyPanel":
-        """Contiguous sub-panel for the given quarter labels."""
-        pos = [self.quarters.index(q) for q in quarters]
-        return QuarterlyPanel(tuple(quarters), self.wages[pos])
+        """Contiguous sub-panel for the given contiguous quarter labels."""
+        quarters = tuple(quarters)
+        start = self.quarters.index(quarters[0]) if quarters else 0  # the constructor checks the run
+        return QuarterlyPanel(quarters, self.wages[start : start + len(quarters)])
 
 
 @dataclass(frozen=True)
@@ -139,18 +137,24 @@ class ShockSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        idx = [parse_quarter(q) for q in self.quarters]
-        for a, b, qa in zip(idx, idx[1:], self.quarters):
-            if b != a + 1:
-                raise PanelError(f"gap or disorder in quarters after {qa}")
-        if self.values.shape != (len(idx),):
+        _check_run(self.quarters)
+        if self.values.shape != (len(self.quarters),):
             raise PanelError("shock values do not match quarters")
         if not np.all(np.isfinite(self.values)):
             raise PanelError("shock values must be finite")
 
     def restrict(self, quarters) -> "ShockSeries":
-        pos = [self.quarters.index(q) for q in quarters]
-        return ShockSeries(tuple(quarters), self.values[pos])
+        quarters = tuple(quarters)
+        start = self.quarters.index(quarters[0]) if quarters else 0  # the constructor checks the run
+        return ShockSeries(quarters, self.values[start : start + len(quarters)])
+
+
+def _check_run(quarters) -> None:
+    """Reject quarter labels that are not consecutive and increasing."""
+    idx = [parse_quarter(q) for q in quarters]
+    for a, b, qa in zip(idx, idx[1:], quarters):
+        if b != a + 1:
+            raise PanelError(f"gap or disorder in quarters after {qa}")
 
 
 def _read_rows(source, header, error):
@@ -186,6 +190,13 @@ def _number(text, lineno, name) -> float:
     return value
 
 
+def _quarter(label, lineno) -> int:
+    try:
+        return parse_quarter(label)
+    except PanelError as exc:
+        raise PanelError(f"row {lineno}: {exc}") from None
+
+
 def _contiguous(qindices) -> list:
     """Sorted quarter indices; rejects an empty set and gaps."""
     qindices = sorted(qindices)
@@ -201,7 +212,7 @@ def _read_by_quarter(source, header):
     """Quarter labels and (T, m) values of a CSV with one row per quarter."""
     rows = {}
     for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
-        qidx = parse_quarter(quarter)
+        qidx = _quarter(quarter, lineno)
         if qidx in rows:
             raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
         rows[qidx] = [_number(f, lineno, name) for f, name in zip(fields, header[1:])]
@@ -217,7 +228,7 @@ def _read_cells(source, header, positive=False):
     name = header[3]
     cells = {}
     for lineno, (quarter, race, quantile, text) in _read_rows(source, header, PanelError):
-        qidx = parse_quarter(quarter)
+        qidx = _quarter(quarter, lineno)
         if race not in RACES:
             raise PanelError(f"row {lineno}: unknown race {race!r}")
         if quantile not in QUANTILES:
@@ -274,7 +285,8 @@ def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) ->
     The default lag structure needs slack beyond the lags themselves, so an
     intersection shorter than ``min_quarters`` is rejected.
     """
-    common = [q for q in panel.quarters if q in set(shocks.quarters)]
+    shock_quarters = set(shocks.quarters)
+    common = [q for q in panel.quarters if q in shock_quarters]  # one run: both inputs are contiguous
     if len(common) < min_quarters:
         raise PanelError(
             f"panel and shock series share only {len(common)} quarters; need at least {min_quarters}"
@@ -314,29 +326,13 @@ class InequalitySeries:
 
 def compute_series(panel: QuarterlyPanel) -> InequalitySeries:
     """Decompose every quarter of the panel into within/between components."""
-    T = panel.n_quarters
-    total = np.empty(T)
-    within = np.empty((T, 3))
-    between = np.empty(T)
-    within_share = np.empty(T)
-    between_share = np.empty(T)
-    degenerate = np.zeros(T, dtype=bool)
-    for t, quarter in enumerate(panel.quarters):
-        dist, part = build_distribution(panel, quarter)
-        res = decompose(dist, part)
-        total[t] = res.total
-        contrib = {g.group: g.contribution for g in res.groups}
-        within[t] = [contrib[q] for q in QUANTILES]
-        between[t] = res.between
-        if res.total == 0.0:
-            degenerate[t] = True
-            within_share[t] = 0.0
-            between_share[t] = 1.0
-        else:
-            within_share[t] = within[t].sum() / res.total
-            between_share[t] = res.between / res.total
+    res = decompose(panel.wages, _QUANTILE_PARTITION)
+    within = np.column_stack([g.contribution for g in res.groups])  # groups in QUANTILES order
+    degenerate = res.total == 0.0
+    within_share = np.divide(within.sum(axis=1), res.total, out=np.zeros_like(res.total), where=~degenerate)
+    between_share = np.divide(res.between, res.total, out=np.ones_like(res.total), where=~degenerate)
     return InequalitySeries(
-        panel.quarters, total, within, between, within_share, between_share, degenerate
+        panel.quarters, res.total, within, res.between, within_share, between_share, degenerate
     )
 
 

@@ -11,7 +11,6 @@ term) and the index of the smoothed distribution in which every wage is
 replaced by its group mean (the "between" term).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,22 +30,25 @@ class DomainError(ValueError):
     """Raised when an input lies outside the domain of the Theil index."""
 
 
-def _as_distribution(values) -> np.ndarray:
-    """Validate and return a wage distribution as a float array.
-
-    Requires a non-empty 1-d collection of strictly positive finite reals.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError(f"wage distribution must be 1-dimensional, got shape {arr.shape}")
+def _as_wages(arr: np.ndarray) -> np.ndarray:
+    """Check that a float array holds at least one wage, all strictly positive and finite."""
     if arr.size == 0:
         raise DomainError("wage distribution must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise DomainError("wage distribution contains non-finite values")
     if np.any(arr <= 0.0):
-        bad = int(np.argmax(arr <= 0.0))
-        raise DomainError(f"wage distribution must be strictly positive; value at index {bad} is {arr[bad]}")
+        bad = tuple(np.argwhere(arr <= 0.0)[0])  # (i,) for one distribution, (t, i) for a stack
+        at = ", ".join(map(str, bad))
+        raise DomainError(f"wage distribution must be strictly positive; value at index {at} is {arr[bad]}")
     return arr
+
+
+def _as_distribution(values) -> np.ndarray:
+    """Validate and return a 1-d wage distribution as a float array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"wage distribution must be 1-dimensional, got shape {arr.shape}")
+    return _as_wages(arr)
 
 
 _NO_INDICES = np.array([], dtype=int)
@@ -104,45 +106,49 @@ class Partition:
         return cls(labels)
 
 
-def _check_lengths(dist: np.ndarray, part: Partition) -> None:
-    if part.n != dist.size:
-        raise DomainError(f"partition covers {part.n} indices but distribution has {dist.size}")
+def _scale_free(rows: np.ndarray):
+    """Rows whose sum overflows divided by 2n, and the row sums after that.
 
-
-def _rescale(arr: np.ndarray) -> np.ndarray:
-    """Scale wages so that their sum stays below the largest float.
-
-    Only subnormal wages can flush to 0 here; their share of a sum that
-    overflowed underflows to 0 in any case.
+    Shares and weights do not depend on the scale. Only subnormal wages can
+    flush to 0 here; their share of a sum that overflowed underflows to 0 in
+    any case.
     """
-    return arr / (2 * arr.size)
+    over = ~np.isfinite(rows.sum(axis=1, keepdims=True))
+    rows = np.where(over, rows / (2 * rows.shape[1]), rows)
+    return rows, rows.sum(axis=1)
+
+
+def _theil_rows(rows: np.ndarray) -> np.ndarray:
+    """Theil index of each row of a (T, n) array of validated wages."""
+    scaled, total = _scale_free(rows)
+    shares = scaled / total[:, None]
+    # a share that underflowed to 0 contributes its limit 0 * ln 0 = 0
+    logs = np.log(rows.shape[1] * shares, out=np.zeros_like(shares), where=shares > 0.0)
+    # rounding can leave a tiny negative residue at near-equality
+    return np.maximum((shares * logs).sum(axis=1), 0.0)
+
+
+def _split(rows: np.ndarray, part: Partition):
+    """Each group's columns of ``rows``, and ``rows`` with every wage replaced by its group mean."""
+    if part.n != rows.shape[1]:
+        raise DomainError(f"partition covers {part.n} indices but distribution has {rows.shape[1]}")
+    # take() keeps C order, so each row of a block sums exactly as it would on its own
+    blocks = [rows.take(part.indices(g), axis=1) for g in part.groups]
+    smoothed = np.empty_like(rows)
+    for g, block in zip(part.groups, blocks):
+        mean, top = block.mean(axis=1), block.max(axis=1)
+        # where a group sum overflowed, average relative to the group maximum
+        mean = np.where(np.isfinite(mean), mean, top * (block / top[:, None]).mean(axis=1))
+        smoothed[:, part.indices(g)] = mean[:, None]
+    return blocks, smoothed
 
 
 def theil_index(values) -> float:
-    """Theil entropy index of a strictly positive wage distribution.
+    """Theil entropy index of a 1-d distribution of strictly positive finite wages.
 
-    Parameters
-    ----------
-    values : array-like
-        Wages, all strictly positive and finite.
-
-    Returns
-    -------
-    float
-        Index in [0, ln(n)]; 0 iff all wages are equal.
+    The index lies in [0, ln(n)] and is 0 iff all wages are equal.
     """
-    arr = _as_distribution(values)
-    total = arr.sum()
-    if math.isfinite(total):
-        shares = arr / total
-    else:  # the sum overflowed; shares do not depend on the scale
-        scaled = _rescale(arr)
-        shares = scaled / scaled.sum()
-    if not shares.all():  # a share that underflowed to 0 contributes its limit 0 * ln 0 = 0
-        shares = shares[shares > 0.0]
-    val = float(np.sum(shares * np.log(arr.size * shares)))
-    # rounding can leave a tiny negative residue at near-equality
-    return max(val, 0.0)
+    return float(_theil_rows(_as_distribution(values)[None])[0])
 
 
 def smoothed_distribution(values, part: Partition) -> np.ndarray:
@@ -151,17 +157,7 @@ def smoothed_distribution(values, part: Partition) -> np.ndarray:
     Group totals (hence the grand total) are preserved. The result is the
     distribution whose index is the between-group term of the decomposition.
     """
-    arr = _as_distribution(values)
-    _check_lengths(arr, part)
-    out = np.empty_like(arr)
-    for g in part.groups:
-        idx = part.indices(g)
-        mean = arr[idx].mean()
-        if not math.isfinite(mean):  # the group sum overflowed; average relative to the maximum
-            top = arr[idx].max()
-            mean = top * (arr[idx] / top).mean()
-        out[idx] = mean
-    return out
+    return _split(_as_distribution(values)[None], part)[1][0]
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ class GroupTerm:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Within/between split of the Theil index for one distribution."""
+    """Within/between split of the Theil index for one distribution or a stack of them."""
 
     total: float
     groups: tuple  # of GroupTerm, in partition group order
@@ -197,19 +193,21 @@ def decompose(values, part: Partition) -> DecompositionResult:
     The within term weights each group's own index by its share of total
     wages; the between term is the index of the smoothed distribution.
     Their sum reproduces the total index exactly up to rounding.
+
+    ``values`` is one distribution (1-d) or a (T, n) stack with one
+    distribution per row. Every numeric field of the result, the group
+    terms' included, is then a float or a (T,) array.
     """
-    arr = _as_distribution(values)
-    _check_lengths(arr, part)
-    scaled = arr if math.isfinite(arr.sum()) else _rescale(arr)  # the weights are scale free
-    total_wage = scaled.sum()
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise DomainError(f"wages must be 1-dimensional or a 2-dimensional stack, got shape {arr.shape}")
+    rows = np.atleast_2d(_as_wages(arr))
+    blocks, smoothed = _split(rows, part)
+    scaled, total_wage = _scale_free(rows)  # the weights are scale free
+    out = (lambda v: float(v[0])) if arr.ndim == 1 else (lambda v: v)
     terms = []
-    for g in part.groups:
-        idx = part.indices(g)
-        weight = float(scaled[idx].sum() / total_wage)
-        index = theil_index(arr[idx])
-        terms.append(GroupTerm(group=g, weight=weight, index=index, contribution=weight * index))
-    return DecompositionResult(
-        total=theil_index(arr),
-        groups=tuple(terms),
-        between=theil_index(smoothed_distribution(arr, part)),
-    )
+    for g, block in zip(part.groups, blocks):
+        weight = scaled.take(part.indices(g), axis=1).sum(axis=1) / total_wage
+        index = _theil_rows(block)
+        terms.append(GroupTerm(group=g, weight=out(weight), index=out(index), contribution=out(weight * index)))
+    return DecompositionResult(out(_theil_rows(rows)), tuple(terms), out(_theil_rows(smoothed)))

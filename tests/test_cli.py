@@ -114,6 +114,46 @@ class TestIrf:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["bootstrap_dropped"] == {"irf_total.csv": 0, "irf_components.csv": 0}
 
+    def test_manifest_reports_spectral_radius(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)] + self.ARGS,
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        radius = manifest["companion_spectral_radius"]
+        assert set(radius) == set(manifest["files"]) == {"irf_total.csv", "irf_components.csv"}
+        assert all(isinstance(r, float) and r > 0.0 for r in radius.values())
+
+    @staticmethod
+    def run_spread_panel(runner, tmp_path, spread):
+        """irf on a panel where races are equal and quantile points sit exp(spread) apart."""
+        quarters = make_quarters("2000Q1", len(spread))
+        grid = 500.0 * np.exp(np.repeat(spread[:, None] * np.arange(3), 3, axis=1))
+        wages, shocks, out = tmp_path / "wages.csv", tmp_path / "shocks.csv", tmp_path / "out"
+        pn.write_wage_csv(pn.QuarterlyPanel(quarters, grid), wages)
+        pn.write_shock_csv(synthetic_shock_series(quarters), shocks)
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)]
+        result = runner.invoke(main, args + ["--reps", "100", "--target", "total"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"wrote {out / 'irf_total.csv'}\nwrote {out / 'manifest.json'}\n"
+        return json.loads((out / "manifest.json").read_text())["companion_spectral_radius"], result.stderr
+
+    def test_stable_fit_does_not_warn(self, runner, tmp_path):
+        spread = 0.1 + 0.01 * np.random.default_rng(5).normal(size=40)
+        radius, stderr = self.run_spread_panel(runner, tmp_path, spread)
+        assert radius["irf_total.csv"] < 1.0
+        assert stderr == ""
+
+    def test_explosive_fit_warns_on_stderr(self, runner, tmp_path):
+        # the spread grows 4% a quarter, so the index grows about 8% a quarter
+        radius, stderr = self.run_spread_panel(runner, tmp_path, 0.02 * 1.04 ** np.arange(40))
+        assert radius["irf_total.csv"] >= 1.0
+        assert stderr.count("warning") == 1
+        assert "companion spectral radius >= 1" in stderr and "irf_total.csv" in stderr
+
     def test_same_seed_byte_identical(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         blobs = []

@@ -136,6 +136,83 @@ class TestAlign:
             pn.align(panel, shocks)
 
 
+    def test_shocks_start_inside_panel(self):
+        panel = synthetic_wage_panel(40, start="2000Q1")
+        shocks = synthetic_shock_series(make_quarters("2003Q2", 60))
+        joined = pn.align(panel, shocks)
+        assert joined.quarters == make_quarters("2003Q2", 27)
+        assert np.array_equal(joined.panel.wages, panel.wages[13:])
+        assert np.array_equal(joined.shocks.values, shocks.values[:27])
+
+    def test_partial_overlap_at_panel_start(self):
+        panel = synthetic_wage_panel(40, start="2005Q1")
+        shocks = synthetic_shock_series(make_quarters("2000Q1", 45))  # ends 2011Q1
+        joined = pn.align(panel, shocks)
+        assert joined.quarters == make_quarters("2005Q1", 25)
+        assert np.array_equal(joined.panel.wages, panel.wages[:25])
+        assert np.array_equal(joined.shocks.values, shocks.values[20:])
+
+    def test_overlap_one_short_of_minimum(self):
+        panel = synthetic_wage_panel(30, start="2000Q1")
+        shocks = synthetic_shock_series(make_quarters("2002Q4", 30))  # overlap 2002Q4..2007Q2
+        assert len(pn.align(panel, shocks, min_quarters=19).quarters) == 19
+        with pytest.raises(pn.PanelError, match="share only 19 quarters; need at least 20"):
+            pn.align(panel, shocks)
+
+    def test_shocks_after_panel_end(self):
+        panel = synthetic_wage_panel(30, start="2000Q1")
+        shocks = synthetic_shock_series(make_quarters("2010Q1", 30))
+        with pytest.raises(pn.PanelError, match="share only 0 quarters"):
+            pn.align(panel, shocks)
+
+    def test_restrict_to_inner_run(self):
+        panel = synthetic_wage_panel(12)
+        sub = panel.restrict(panel.quarters[3:7])
+        assert sub.quarters == panel.quarters[3:7]
+        assert np.array_equal(sub.wages, panel.wages[3:7])
+        shocks = synthetic_shock_series(panel.quarters)
+        assert np.array_equal(shocks.restrict(panel.quarters[5:]).values, shocks.values[5:])
+
+    def test_restrict_rejects_runs_it_cannot_hold(self):
+        panel = synthetic_wage_panel(12)
+        with pytest.raises(pn.PanelError, match="does not match"):
+            panel.restrict(make_quarters(panel.quarters[10], 4))  # runs past the end
+        with pytest.raises(pn.PanelError, match="gap or disorder"):
+            panel.restrict([panel.quarters[0], panel.quarters[2]])
+
+
+class TestQuarterLabelRows:
+    """A bad quarter label names the row it is on, in every reader."""
+
+    SHOCK = "quarter,shock\n2005Q1,0.1\n{q},0.2\n"
+    SERIES = ",".join(pn.SERIES_HEADER) + "\n" + "".join(
+        f"{q},0.2,0.01,0.01,0.01,0.17,0.15,0.85\n" for q in ("2005Q1", "{q}")
+    )
+    GROWTH = "quarter,race,quantile,growth_pct\n2005Q1,Asian,D1,1.0\n{q},Asian,Q3,1.0\n"
+    WAGE = "quarter,race,quantile,wage\n2005Q1,Asian,D1,500\n{q},Asian,Q3,900\n"
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (pn.parse_wage_csv, WAGE),
+            (pn.parse_shock_csv, SHOCK),
+            (pn.read_series_csv, SERIES),
+            (pn.read_growth_csv, GROWTH),
+        ],
+        ids=["wage", "shock", "series", "growth"],
+    )
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("BADQ3", r"row 3: malformed quarter label 'BADQ3' \(expected YYYYQn\)"),
+            ("2000Q5", r"row 3: quarter number out of range in '2000Q5'"),
+        ],
+    )
+    def test_row_named(self, reader, text, label, message):
+        with pytest.raises(pn.PanelError, match=message):
+            reader(io.StringIO(text.format(q=label)))
+
+
 class TestBuildDistribution:
     def test_equal_wages_zero_index(self):
         panel = constant_panel(2)
@@ -202,6 +279,14 @@ class TestComputeSeries:
         b = pn.compute_series(pn.parse_wage_csv(io.StringIO(text)))
         assert np.array_equal(a.total, b.total)
         assert np.array_equal(a.within, b.within)
+
+    def test_decomposes_whole_panel_in_one_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            pn, "decompose", lambda wages, part: calls.append(wages.shape) or decompose(wages, part)
+        )
+        pn.compute_series(synthetic_wage_panel(12))
+        assert calls == [(12, 9)]
 
 
 class TestGrowthRates:

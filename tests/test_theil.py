@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wageineq import panel as pn
+from wageineq.fixtures import synthetic_wage_panel
 from wageineq.theil import (
+    DecompositionResult,
     DomainError,
+    GroupTerm,
     Partition,
     decompose,
     smoothed_distribution,
@@ -256,14 +260,14 @@ class TestExtremeMagnitudes:
         assert tiny.between == pytest.approx(math.log(2), abs=1e-12)
 
     @staticmethod
-    def draw_partition(data, n):
-        l = data.draw(st.integers(2, min(4, n)))
-        return Partition(data.draw(st.permutations(list(range(l)) + [i % l for i in range(n - l)])))
+    def draw_partition(draw, n):
+        l = draw(st.integers(2, min(4, n)))
+        return Partition(draw(st.permutations(list(range(l)) + [i % l for i in range(n - l)])))
 
     @given(positive_wages.filter(lambda w: len(w) >= 2), st.data())
     @settings(max_examples=300, deadline=None)
     def test_decompose_identity_any_wages(self, wages, data):
-        res = decompose(wages, self.draw_partition(data, len(wages)))
+        res = decompose(wages, self.draw_partition(data.draw, len(wages)))
         assert 0.0 <= res.total <= math.log(len(wages)) * (1 + 1e-12)
         assert all(math.isfinite(g.contribution) for g in res.groups)
         assert res.identity_residual() <= 1e-12
@@ -275,7 +279,7 @@ class TestExtremeMagnitudes:
     )
     @settings(max_examples=200, deadline=None)
     def test_decompose_scale_invariance(self, wages, data, scale):
-        part = self.draw_partition(data, len(wages))
+        part = self.draw_partition(data.draw, len(wages))
         base = decompose(wages, part)
         res = decompose(np.array(wages) * scale, part)
         assert res.identity_residual() <= 1e-12
@@ -287,15 +291,6 @@ class TestExtremeMagnitudes:
         part = Partition.from_sizes([2, 2])
         assert list(smoothed_distribution([1e308, 1e308, 1.0, 3.0], part)) == [1e308, 1e308, 2.0, 2.0]
 
-    def test_decompose_indexes_each_group_once(self, monkeypatch):
-        import wageineq.theil as theil
-
-        calls = []
-        real = theil.theil_index
-        monkeypatch.setattr(theil, "theil_index", lambda v: calls.append(len(v)) or real(v))
-        theil.decompose([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], Partition.from_sizes([3, 3, 3]))
-        assert calls == [3, 3, 3, 9, 9]  # each group, the total, the between term
-
 
 class TestPartitionIndexCache:
     def test_indices_are_stored_read_only(self):
@@ -305,3 +300,144 @@ class TestPartitionIndexCache:
             part.indices("b")[0] = 3
         assert list(part.indices("z")) == []
         assert part == Partition(["b", "a", "b", "c"])
+
+
+def scalar_theil_index(arr: np.ndarray) -> float:
+    """Reference index of one validated distribution, zero shares dropped before the sum."""
+    total = arr.sum()
+    if math.isfinite(total):
+        shares = arr / total
+    else:  # the sum overflowed; shares do not depend on the scale
+        scaled = arr / (2 * arr.size)
+        shares = scaled / scaled.sum()
+    if not shares.all():
+        shares = shares[shares > 0.0]
+    return max(float(np.sum(shares * np.log(arr.size * shares))), 0.0)
+
+
+def scalar_decompose(values, part: Partition) -> DecompositionResult:
+    """Reference decomposition of one distribution: a Python loop over its groups."""
+    arr = np.asarray(values, dtype=float)
+    scaled = arr if math.isfinite(arr.sum()) else arr / (2 * arr.size)
+    total_wage = scaled.sum()
+    smoothed = np.empty_like(arr)
+    terms = []
+    for g in part.groups:
+        idx = part.indices(g)
+        mean = arr[idx].mean()
+        if not math.isfinite(mean):  # the group sum overflowed
+            top = arr[idx].max()
+            mean = top * (arr[idx] / top).mean()
+        smoothed[idx] = mean
+        weight = float(scaled[idx].sum() / total_wage)
+        index = scalar_theil_index(arr[idx])
+        terms.append(GroupTerm(group=g, weight=weight, index=index, contribution=weight * index))
+    return DecompositionResult(
+        total=scalar_theil_index(arr), groups=tuple(terms), between=scalar_theil_index(smoothed)
+    )
+
+
+def row_of(res: DecompositionResult, t: int) -> DecompositionResult:
+    """Row t of a stacked decomposition, with float fields."""
+    return DecompositionResult(
+        total=float(res.total[t]),
+        groups=tuple(
+            GroupTerm(g.group, float(g.weight[t]), float(g.index[t]), float(g.contribution[t]))
+            for g in res.groups
+        ),
+        between=float(res.between[t]),
+    )
+
+
+def scalar_series(panel) -> np.ndarray:
+    """compute_series' columns, one scalar decomposition per quarter."""
+    part = Partition([q for q, _ in pn.CELLS])
+    rows = []
+    for dist in panel.wages:
+        res = scalar_decompose(dist, part)
+        within = np.array([g.contribution for g in res.groups])
+        if res.total == 0.0:
+            shares = [0.0, 1.0]
+        else:
+            shares = [within.sum() / res.total, res.between / res.total]
+        rows.append([res.total, *within, res.between, *shares])
+    return np.array(rows)
+
+
+@st.composite
+def stacks(draw, wages, scales=st.just(1.0)):
+    """A (T, n) stack of wage rows, each row times its own scale, and an interleaved partition."""
+    n = draw(st.integers(2, 20))
+    rows = draw(st.lists(st.lists(wages, min_size=n, max_size=n), min_size=1, max_size=5))
+    row_scales = draw(st.lists(scales, min_size=len(rows), max_size=len(rows)))
+    return np.array(rows) * np.array(row_scales)[:, None], TestExtremeMagnitudes.draw_partition(draw, n)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStackedDecompose:
+    """A (T, n) stack decomposes row by row exactly as the scalar reference does."""
+
+    @given(
+        stacks(
+            st.floats(min_value=1e-3, max_value=1e3),
+            # scales differ across rows, so rows whose sum overflows share a stack with ordinary ones
+            st.sampled_from([1e-300, 1e-10, 1.0, 1e10, 1e300, 1e305]),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_reference(self, case):
+        rows, part = case
+        res = decompose(rows, part)
+        assert res.total.shape == res.between.shape == (len(rows),)
+        for t, row in enumerate(rows):
+            assert row_of(res, t) == scalar_decompose(row, part)
+            assert row_of(res, t) == decompose(row, part)
+
+    @given(stacks(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_wages_match_reference(self, case):
+        # shares that underflow to 0 are zeroed, not dropped, so the sum's order can differ;
+        # each of the n terms is at most ln n < 3 in size and may round once more
+        rows, part = case
+        res = decompose(rows, part)
+        tol = 3 * rows.shape[1] * np.finfo(float).eps
+        for t, row in enumerate(rows):
+            ref = scalar_decompose(row, part)
+            assert row_of(res, t) == decompose(row, part)
+            assert res.total[t] == pytest.approx(ref.total, rel=0, abs=tol)
+            assert res.between[t] == pytest.approx(ref.between, rel=0, abs=tol)
+            for got, want in zip(res.groups, ref.groups):
+                assert got.weight[t] == want.weight
+                assert got.index[t] == pytest.approx(want.index, rel=0, abs=tol)
+
+    def test_one_distribution_gives_floats(self):
+        res = decompose([1, 3, 5, 7, 3], Partition.from_sizes([2, 3]))
+        assert type(res.total) is float and type(res.between) is float
+        assert all(type(v) is float for g in res.groups for v in (g.weight, g.index, g.contribution))
+
+    def test_stack_identity_and_shapes(self):
+        rows = np.array([[1, 3, 5, 7, 3], [7.0] * 5, [1, 1, 1, 1, 9]], dtype=float)
+        res = decompose(rows, Partition.from_sizes([2, 3]))
+        assert res.within.shape == res.identity_residual().shape == (3,)
+        assert np.all(res.identity_residual() < 1e-12)
+        assert res.total[1] == 0.0
+
+    def test_stack_validation(self):
+        part = Partition.from_sizes([1, 1])
+        with pytest.raises(DomainError, match="value at index 1, 0 is 0.0"):
+            decompose([[1.0, 2.0], [0.0, 2.0]], part)
+        with pytest.raises(DomainError, match="2-dimensional stack"):
+            decompose(np.ones((2, 2, 2)), part)
+        with pytest.raises(DomainError, match="non-empty"):
+            decompose(np.ones((0, 2)), part)
+        with pytest.raises(DomainError, match="partition covers 2 indices but distribution has 3"):
+            decompose(np.ones((4, 3)), part)
+
+    @pytest.mark.parametrize("n_quarters", [81, 4000])
+    def test_compute_series_equals_reference(self, n_quarters):
+        panel = synthetic_wage_panel(n_quarters, "1000Q1")
+        series = pn.compute_series(panel)
+        got = np.column_stack(
+            [series.total, series.within, series.between, series.within_share, series.between_share]
+        )
+        assert np.array_equal(got, scalar_series(panel))
