@@ -9,7 +9,10 @@ the between term the gap across wage groups.
 """
 
 import csv
+import io
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -23,6 +26,11 @@ QUANTILES = ("D1", "Q3", "D9")
 CELLS = tuple((q, r) for q in QUANTILES for r in RACES)
 # partitions are immutable, so compute_series and build_distribution share this one
 _QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
+
+_BLOCK_ROWS = 4096  # lines read and converted at once (also rows written): bounds the raw text held
+_BAD = -(1 << 40)  # code of a label that does not parse; quarter indices may be negative
+_COMMAS = operator.methodcaller("count", ",")
+_NUMBER = "%.10g"  # the format of every number the CSV writers write
 
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
 _SHOCK_HEADER = ("quarter", "shock")
@@ -119,8 +127,13 @@ class QuarterlyPanel:
         return len(self.quarters)
 
     def wage(self, quarter: str, race: str, quantile: str) -> float:
-        t = self.quarters.index(quarter)
-        return float(self.wages[t, CELLS.index((quantile, race))])
+        if quarter not in self.quarters:
+            raise PanelError(f"quarter {quarter!r} not in panel")
+        if race not in RACES:
+            raise PanelError(f"unknown race {race!r}")
+        if quantile not in QUANTILES:
+            raise PanelError(f"unknown quantile {quantile!r}")
+        return float(self.wages[self.quarters.index(quarter), CELLS.index((quantile, race))])
 
     def restrict(self, quarters) -> "QuarterlyPanel":
         """Contiguous sub-panel for the given contiguous quarter labels."""
@@ -157,27 +170,97 @@ def _check_run(quarters) -> None:
             raise PanelError(f"gap or disorder in quarters after {qa}")
 
 
-def _read_rows(source, header, error):
-    """Yield (line number, stripped fields) for each data row of a CSV.
+def _plain_columns(lines, width):
+    """Columns of a block of lines split at commas, or None if csv.reader is needed.
 
-    ``source`` is a path or an open text file. The stripped header must equal
-    ``header``, blank rows are skipped and every other row must have one field
-    per header column; any failure raises ``error``.
+    Splitting gives what ``csv.reader`` gives when no line holds a quote or a
+    bare carriage return, every line but the last ends in one newline, every
+    line holds ``width - 1`` commas and none is longer than csv's field limit.
+    """
+    text = "".join(lines)
+    if (
+        '"' in text
+        or text.count("\r") != text.count("\r\n")
+        or text.count("\n") != len(lines) - (not text.endswith("\n"))
+        or set(map(_COMMAS, lines)) != {width - 1}
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    fields = text.replace("\r\n", "\n").removesuffix("\n").replace("\n", ",").split(",")
+    return [fields[i::width] for i in range(width)]
+
+
+def _read_rows(source, header, error):
+    """Yield (line numbers, columns) for each block of a CSV's data rows.
+
+    ``source`` is a path or an open text file. A UTF-8 byte-order mark before
+    the header is ignored, the stripped header must equal ``header``, blank
+    rows are skipped and every other row must have one field per header
+    column; any failure raises ``error``. A block holds the rows of up to
+    ``_BLOCK_ROWS`` lines as one list of unstripped fields per column. A bad
+    field count or a ``csv.Error`` is raised after the rows before it are
+    yielded, so consumers report the first faulty row whatever its fault.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield from _read_rows(fh, header, error)
         return
-    reader = csv.reader(source)
+    lines = iter(source)
+    reader = csv.reader(lines)  # reads no line beyond the header's
     first = next(reader, None)
+    if first:
+        first[0] = first[0].removeprefix("\ufeff")
     if first is None or tuple(h.strip() for h in first) != tuple(header):
         raise error(f"bad CSV header {first}; expected {','.join(header)}")
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
+    width, done = len(header), reader.line_num  # done: lines read so far
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        columns = _plain_columns(block, width)
+        if columns is not None:
+            yield range(done + 1, done + len(block) + 1), columns
+            done += len(block)
             continue
-        if len(row) != len(header):
-            raise error(f"row {reader.line_num}: expected {len(header)} fields, got {len(row)}")
-        yield reader.line_num, [f.strip() for f in row]
+        # csv.reader takes the block's lines, then any more its last row spans
+        reader = csv.reader(itertools.chain(block, lines))
+        rows, linenos, pending = [], [], None
+        try:
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):  # not blank
+                    if len(row) != width:
+                        pending = error(f"row {done + reader.line_num}: expected {width} fields, got {len(row)}")
+                        break
+                    rows.append(row)
+                    linenos.append(done + reader.line_num)
+                if reader.line_num >= len(block):
+                    break
+        except csv.Error as exc:
+            pending = exc
+        done += reader.line_num
+        if rows:
+            yield linenos, [list(column) for column in zip(*rows)]
+        if pending is not None:
+            raise pending
+
+
+def _codes(column, table, parse) -> np.ndarray:
+    """int64 codes of a column of raw labels, ``_BAD`` where ``parse`` fails.
+
+    ``table`` caches the code of every distinct label seen, so each label is
+    stripped and parsed once per file.
+    """
+    for label in set(column).difference(table):
+        try:
+            table[label] = parse(label.strip())
+        except ValueError:  # PanelError is a ValueError
+            table[label] = _BAD
+    return np.fromiter(map(table.__getitem__, column), np.int64, len(column))
+
+
+def _floats(column):
+    """float64 array of a column of numeric text, or None if a field does not parse."""
+    try:
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        return None
 
 
 def _number(text, lineno, name) -> float:
@@ -197,37 +280,68 @@ def _quarter(label, lineno) -> int:
         raise PanelError(f"row {lineno}: {exc}") from None
 
 
-def _contiguous(qindices) -> list:
-    """Sorted quarter indices; rejects an empty set and gaps."""
-    qindices = sorted(qindices)
-    if not qindices:
+def _contiguous(qindices) -> np.ndarray:
+    """Sorted distinct quarter indices; rejects an empty set and gaps.
+
+    Marks the quarters present instead of sorting: parse_quarter bounds the
+    span, and a sort would page in more of numpy than small files need.
+    """
+    if not qindices.size:
         raise PanelError("CSV contains no data rows")
-    for a, b in zip(qindices, qindices[1:]):
-        if b != a + 1:
-            raise PanelError(f"gap in quarters between {format_quarter(a)} and {format_quarter(b)}")
-    return qindices
+    first = int(qindices.min())
+    present = np.zeros(int(qindices.max()) - first + 1, dtype=bool)
+    present[qindices - first] = True
+    if not present.all():
+        t = int(np.argmin(present))  # the first quarter missing; present[0] is True
+        b = t + int(np.argmax(present[t:]))
+        raise PanelError(f"gap in quarters between {format_quarter(first + t - 1)} and {format_quarter(first + b)}")
+    return np.arange(first, first + len(present))
+
+
+def _check_quarter_rows(linenos, columns, header, seen) -> None:
+    """Raise the first fault in a block of one-row-per-quarter rows, row by row.
+
+    ``seen`` holds the quarter indices of the rows before the block.
+    """
+    for lineno, quarter, *fields in zip(linenos, *columns):
+        quarter = quarter.strip()
+        qidx = _quarter(quarter, lineno)
+        if qidx in seen:
+            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
+        seen.add(qidx)
+        for f, name in zip(fields, header[1:]):
+            _number(f.strip(), lineno, name)
+    raise AssertionError("a block failed its column checks but no row fails")
 
 
 def _read_by_quarter(source, header):
     """Quarter labels and (T, m) values of a CSV with one row per quarter."""
-    rows = {}
-    for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
-        qidx = _quarter(quarter, lineno)
-        if qidx in rows:
-            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
-        rows[qidx] = [_number(f, lineno, name) for f, name in zip(fields, header[1:])]
-    qindices = _contiguous(rows)
-    return tuple(format_quarter(i) for i in qindices), np.array([rows[i] for i in qindices])
+    quarter_codes, seen = {}, set()
+    quarters, values = [], []
+    for linenos, (labels, *texts) in _read_rows(source, header, PanelError):
+        q = _codes(labels, quarter_codes, parse_quarter)
+        v = [_floats(col) for col in texts]
+        ok = q.min() > _BAD and all(col is not None and np.isfinite(col).all() for col in v)
+        keys = set(q.tolist()) if ok else None
+        if keys is None or len(keys) < len(q) or not seen.isdisjoint(keys):
+            _check_quarter_rows(linenos, (labels, *texts), header, seen)
+        seen |= keys
+        quarters.append(q)
+        values.append(np.column_stack(v))
+    q = np.concatenate([np.empty(0, np.int64), *quarters])
+    qindices = _contiguous(q)
+    rows = np.empty((len(q), len(header) - 1))
+    rows[q - qindices[0]] = np.concatenate(values)  # quarters are distinct and contiguous
+    return tuple(map(format_quarter, qindices.tolist())), rows
 
 
-def _read_cells(source, header, positive=False):
-    """Quarter labels and (T, 9) grid of a quarter,race,quantile,value CSV.
+def _check_cell_rows(linenos, columns, name, positive, seen) -> None:
+    """Raise the first fault in a block of quarter,race,quantile,value rows, row by row.
 
-    Rows may arrive in any order; every quarter needs all 9 cells once.
+    ``seen`` holds the keys (9 * quarter index + cell) of the rows before the block.
     """
-    name = header[3]
-    cells = {}
-    for lineno, (quarter, race, quantile, text) in _read_rows(source, header, PanelError):
+    for lineno, *fields in zip(linenos, *columns):
+        quarter, race, quantile, text = (f.strip() for f in fields)
         qidx = _quarter(quarter, lineno)
         if race not in RACES:
             raise PanelError(f"row {lineno}: unknown race {race!r}")
@@ -236,19 +350,44 @@ def _read_cells(source, header, positive=False):
         value = _number(text, lineno, name)
         if positive and value <= 0:
             raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
-        key = (qidx, quantile, race)
-        if key in cells:
+        key = 9 * qidx + CELLS.index((quantile, race))
+        if key in seen:
             raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
-        cells[key] = value
-    qindices = _contiguous({k[0] for k in cells})
-    grid = np.empty((len(qindices), 9))
-    for t, qidx in enumerate(qindices):
-        for c, (quantile, race) in enumerate(CELLS):
-            key = (qidx, quantile, race)
-            if key not in cells:
-                raise PanelError(f"missing {name} cell ({format_quarter(qidx)}, {race}, {quantile})")
-            grid[t, c] = cells[key]
-    return tuple(format_quarter(i) for i in qindices), grid
+        seen.add(key)
+    raise AssertionError("a block failed its column checks but no row fails")
+
+
+def _read_cells(source, header, positive=False):
+    """Quarter labels and (T, 9) grid of a quarter,race,quantile,value CSV.
+
+    Rows may arrive in any order; every quarter needs all 9 cells once.
+    """
+    name = header[3]
+    quarter_codes, race_codes, quantile_codes = {}, {}, {}
+    seen = set()  # 9 * quarter index + cell of every row so far
+    quarters, cells, values = [], [], []
+    for linenos, columns in _read_rows(source, header, PanelError):
+        q = _codes(columns[0], quarter_codes, parse_quarter)
+        cell = 3 * _codes(columns[2], quantile_codes, QUANTILES.index) + _codes(columns[1], race_codes, RACES.index)
+        v = _floats(columns[3])
+        ok = v is not None and q.min() > _BAD and cell.min() >= 0 and np.isfinite(v).all()
+        keys = set((9 * q + cell).tolist()) if ok and not (positive and (v <= 0).any()) else None
+        if keys is None or len(keys) < len(q) or not seen.isdisjoint(keys):
+            _check_cell_rows(linenos, columns, name, positive, seen)
+        seen |= keys
+        quarters.append(q)
+        cells.append(cell)
+        values.append(v)
+    q = np.concatenate([np.empty(0, np.int64), *quarters])
+    qindices = _contiguous(q)
+    grid = np.full((len(qindices), len(CELLS)), np.nan)  # values are finite, so NaN marks a missing cell
+    grid[q - qindices[0], np.concatenate(cells)] = np.concatenate(values)
+    missing = np.flatnonzero(np.isnan(grid))
+    if missing.size:
+        t, c = divmod(int(missing[0]), len(CELLS))
+        quantile, race = CELLS[c]
+        raise PanelError(f"missing {name} cell ({format_quarter(int(qindices[t]))}, {race}, {quantile})")
+    return tuple(map(format_quarter, qindices.tolist())), grid
 
 
 def parse_wage_csv(source) -> QuarterlyPanel:
@@ -384,35 +523,57 @@ def standardize(series) -> np.ndarray:
     return (arr - arr.mean()) / sd
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+def _csv_fields(texts) -> list:
+    """Text fields as csv.writer writes them in a row of two or more fields."""
+    texts = list(map(str, texts))
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):  # nothing csv.writer would quote
+        return texts
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    encoded = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        encoded.append(buf.getvalue()[:-2])  # drop the empty field's comma and the newline
+    return encoded
 
 
-def _write_rows(path, header, rows) -> None:
-    """Write a header and rows of fields to a CSV file."""
+def _write_grid(path, header, labels, keys, values) -> None:
+    """Write a header, then one row per label and key: label, key fields, numbers.
+
+    ``keys`` holds one tuple of text fields per key (``[()]`` for none) and
+    ``values`` the rows' numbers in C order, as many per row as the header has
+    columns left. Text is quoted as ``csv.writer`` quotes it. Each label's rows
+    come from one template: the label goes in through str.format, then a block
+    of labels' numbers through one % operation.
+    """
+    per_row = len(header) - 1 - len(keys[0])
+    escaped = ([f.replace("{", "{{").replace("}", "}}").replace("%", "%%") for f in _csv_fields(key)] for key in keys)
+    template = "".join(",".join(["{0}", *fields]) + f",{_NUMBER}" * per_row + "\n" for fields in escaped)
+    texts = [text.replace("%", "%%") for text in _csv_fields(labels)]
+    numbers = np.ravel(values)
+    step, chunk = len(keys) * per_row, max(1, _BLOCK_ROWS // len(keys))  # numbers and labels per block
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(texts), chunk):
+            block = texts[i : i + chunk]
+            rows = "".join(map(template.format, block))
+            fh.write(rows % tuple(numbers[i * step : (i + len(block)) * step].tolist()))
 
 
-def _write_cells(path, header, quarters, grid) -> None:
-    _write_rows(
-        path,
-        header,
-        ((quarter, race, quantile, _fmt(v)) for quarter, row in zip(quarters, grid.tolist())
-         for (quantile, race), v in zip(CELLS, row)),
-    )
+_CELL_KEYS = tuple((race, quantile) for quantile, race in CELLS)  # the cell CSVs' race,quantile fields
 
 
 def write_wage_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel in the documented wage CSV input format."""
-    _write_cells(path, _WAGE_HEADER, panel.quarters, panel.wages)
+    _write_grid(path, _WAGE_HEADER, panel.quarters, _CELL_KEYS, panel.wages)
 
 
 def write_shock_csv(shocks: ShockSeries, path) -> None:
     """Write a shock series in the documented shock CSV input format."""
-    _write_rows(path, _SHOCK_HEADER, zip(shocks.quarters, map(_fmt, shocks.values.tolist())))
+    _write_grid(path, _SHOCK_HEADER, shocks.quarters, [()], shocks.values)
 
 
 def write_series_csv(series: InequalitySeries, path) -> None:
@@ -420,9 +581,7 @@ def write_series_csv(series: InequalitySeries, path) -> None:
     columns = np.column_stack(
         [series.total, series.within, series.between, series.within_share, series.between_share]
     )
-    _write_rows(
-        path, SERIES_HEADER, ((q, *map(_fmt, row)) for q, row in zip(series.quarters, columns.tolist()))
-    )
+    _write_grid(path, SERIES_HEADER, series.quarters, [()], columns)
 
 
 def read_series_csv(source) -> InequalitySeries:
@@ -442,7 +601,7 @@ def read_series_csv(source) -> InequalitySeries:
 
 def write_growth_csv(series: GrowthSeries, path) -> None:
     """Write growth rates as quarter,race,quantile,growth_pct rows."""
-    _write_cells(path, _GROWTH_HEADER, series.quarters, series.growth)
+    _write_grid(path, _GROWTH_HEADER, series.quarters, _CELL_KEYS, series.growth)
 
 
 def read_growth_csv(source) -> GrowthSeries:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _fmt, _read_rows, _write_rows, parse_quarter
+from .panel import _read_rows, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -424,29 +424,29 @@ def companion_spectral_radius(model: VarxModel) -> float:
 
 def write_irf_csv(irf: ImpulseResponse, path) -> None:
     """Write responses as horizon,variable,point,lower,upper rows."""
-    _write_rows(
-        path,
-        _IRF_HEADER,
-        ((h, name, *map(_fmt, (irf.point[h, i], irf.lower[h, i], irf.upper[h, i])))
-         for h in range(irf.horizon + 1) for i, name in enumerate(irf.names)),
-    )
+    bands = np.stack((irf.point, irf.lower, irf.upper), axis=-1)
+    _write_grid(path, _IRF_HEADER, range(irf.horizon + 1), [(name,) for name in irf.names], bands)
 
 
 def read_irf_csv(source) -> ImpulseResponse:
     """Read a response table written by write_irf_csv."""
     entries = {}
     names = []
-    for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
-        try:
-            key = (int(h_text), name)
-            vals = tuple(float(v) for v in val_texts)
-        except ValueError:
-            raise VarxError(f"row {lineno}: non-numeric value") from None
-        if key in entries:
-            raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
-        if name not in names:
-            names.append(name)
-        entries[key] = vals
+    for linenos, columns in _read_rows(source, _IRF_HEADER, VarxError):
+        for lineno, h_text, name, *val_texts in zip(linenos, *columns):
+            h_text, name = h_text.strip(), name.strip()
+            try:
+                key = (int(h_text), name)
+                vals = tuple(float(v) for v in val_texts)
+            except ValueError:
+                raise VarxError(f"row {lineno}: non-numeric value") from None
+            if key[0] < 0:
+                raise VarxError(f"row {lineno}: negative horizon {h_text}")
+            if key in entries:
+                raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
+            if name not in names:
+                names.append(name)
+            entries[key] = vals
     if not entries:
         raise VarxError("IRF CSV contains no data rows")
     H = max(h for h, _ in entries)
