@@ -12,7 +12,6 @@ import csv
 import io
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -29,7 +28,6 @@ _QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
 
 _BLOCK_ROWS = 4096  # lines read and converted at once (also rows written): bounds the raw text held
 _BAD = -(1 << 40)  # code of a label that does not parse; quarter indices may be negative
-_COMMAS = operator.methodcaller("count", ",")
 _NUMBER = "%.10g"  # the format of every number the CSV writers write
 
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
@@ -170,26 +168,6 @@ def _check_run(quarters) -> None:
             raise PanelError(f"gap or disorder in quarters after {qa}")
 
 
-def _plain_columns(lines, width):
-    """Columns of a block of lines split at commas, or None if csv.reader is needed.
-
-    Splitting gives what ``csv.reader`` gives when no line holds a quote or a
-    bare carriage return, every line but the last ends in one newline, every
-    line holds ``width - 1`` commas and none is longer than csv's field limit.
-    """
-    text = "".join(lines)
-    if (
-        '"' in text
-        or text.count("\r") != text.count("\r\n")
-        or text.count("\n") != len(lines) - (not text.endswith("\n"))
-        or set(map(_COMMAS, lines)) != {width - 1}
-        or max(map(len, lines)) > csv.field_size_limit()
-    ):
-        return None
-    fields = text.replace("\r\n", "\n").removesuffix("\n").replace("\n", ",").split(",")
-    return [fields[i::width] for i in range(width)]
-
-
 def _read_rows(source, header, error):
     """Yield (line numbers, columns) for each block of a CSV's data rows.
 
@@ -214,11 +192,6 @@ def _read_rows(source, header, error):
         raise error(f"bad CSV header {first}; expected {','.join(header)}")
     width, done = len(header), reader.line_num  # done: lines read so far
     while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        columns = _plain_columns(block, width)
-        if columns is not None:
-            yield range(done + 1, done + len(block) + 1), columns
-            done += len(block)
-            continue
         # csv.reader takes the block's lines, then any more its last row spans
         reader = csv.reader(itertools.chain(block, lines))
         rows, linenos, pending = [], [], None
@@ -545,22 +518,22 @@ def _write_grid(path, header, labels, keys, values) -> None:
 
     ``keys`` holds one tuple of text fields per key (``[()]`` for none) and
     ``values`` the rows' numbers in C order, as many per row as the header has
-    columns left. Text is quoted as ``csv.writer`` quotes it. Each label's rows
-    come from one template: the label goes in through str.format, then a block
-    of labels' numbers through one % operation.
+    columns left. Text is quoted as ``csv.writer`` quotes it. Each block of
+    labels' numbers is formatted as one column of fields per header column.
     """
     per_row = len(header) - 1 - len(keys[0])
-    escaped = ([f.replace("{", "{{").replace("}", "}}").replace("%", "%%") for f in _csv_fields(key)] for key in keys)
-    template = "".join(",".join(["{0}", *fields]) + f",{_NUMBER}" * per_row + "\n" for fields in escaped)
-    texts = [text.replace("%", "%%") for text in _csv_fields(labels)]
+    heads = ["".join("," + f for f in _csv_fields(key)) for key in keys]  # each key's fields after the label
+    texts = _csv_fields(labels)
     numbers = np.ravel(values)
     step, chunk = len(keys) * per_row, max(1, _BLOCK_ROWS // len(keys))  # numbers and labels per block
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(texts), chunk):
             block = texts[i : i + chunk]
-            rows = "".join(map(template.format, block))
-            fh.write(rows % tuple(numbers[i * step : (i + len(block)) * step].tolist()))
+            fields = list(map(_NUMBER.__mod__, numbers[i * step : (i + len(block)) * step].tolist()))
+            starts = [label + head for label in block for head in heads]
+            rows = zip(starts, *(fields[j::per_row] for j in range(per_row)))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 _CELL_KEYS = tuple((race, quantile) for quantile, race in CELLS)  # the cell CSVs' race,quantile fields

@@ -1,4 +1,4 @@
-"""The block-columnar CSV reader and the template writers against row-at-a-time references."""
+"""The block-columnar CSV reader and the column writers against row-at-a-time references."""
 
 import csv
 import io
@@ -286,7 +286,7 @@ class TestBlockColumnarReader:
         with pytest.raises(pn.PanelError, match=r"^row 12: non-numeric wage 'x'$"):
             pn.parse_wage_csv(io.StringIO(text))
 
-    @pytest.mark.parametrize("value", ["1.5", '"1.5"'])  # split at commas, or through csv.reader
+    @pytest.mark.parametrize("value", ["1.5", '"1.5"'])
     def test_blocks_are_bounded(self, value, monkeypatch):
         monkeypatch.setattr(pn, "_BLOCK_ROWS", 7)
         text = self.cells_text(["2000Q1", "2000Q2"], value)
@@ -295,6 +295,14 @@ class TestBlockColumnarReader:
         assert [list(linenos) for linenos, _ in blocks][1] == list(range(9, 16))
         assert all(len(column) == len(linenos) for linenos, columns in blocks for column in columns)
         assert blocks[0][1][3] == ["1.5"] * 7
+
+    @pytest.mark.parametrize("new", ["2000Q2,White,D9,1.5\0", "2000Q2,Wh\0ite,D9,1.5", "20\0Q2,White,D9,1.5"])
+    def test_nul_matches_scalar_reference(self, new):
+        # csv.reader rejects a NUL before Python 3.11 and passes it on after
+        text = self.cells_text(["2000Q1", "2000Q2"]).replace("2000Q2,White,D9,1.5", new)
+        want = outcome(scalar_read_cells, text, "", pn._WAGE_HEADER, True)
+        assert isinstance(want[0], type)
+        assert outcome(pn._read_cells, text, "", pn._WAGE_HEADER, True) == want
 
     def test_byte_order_mark(self, tmp_path):
         text = "\ufeff" + self.cells_text(["2000Q1", "2000Q2"])
@@ -353,7 +361,7 @@ class TestIrfReader:
 
 
 class TestWriters:
-    """The template writers write what csv.writer and f"{x:.10g}" wrote, byte for byte."""
+    """The column writers write what csv.writer and f"{x:.10g}" wrote, byte for byte."""
 
     @pytest.fixture(scope="class")
     def panel(self):
