@@ -12,6 +12,7 @@ config values. Every irf run writes a manifest sufficient to
 reproduce it: all settings, the seed, and input file digests.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -177,16 +178,7 @@ def run_irf(
         "standardize": standardize,
         "start": start,
         "end": end,
-        "spec": {
-            "endogenous_lags": spec.endogenous_lags,
-            "exogenous_lags": spec.exogenous_lags,
-            "contemporaneous_shock": spec.contemporaneous_shock,
-            "horizon": spec.horizon,
-            "shock_size": spec.shock_size,
-            "bootstrap_reps": spec.bootstrap_reps,
-            "seed": spec.seed,
-            "band_method": spec.band_method,
-        },
+        "spec": dataclasses.asdict(spec),
         "files": list(dropped),
         "bootstrap_dropped": dropped,
         "companion_spectral_radius": radius,

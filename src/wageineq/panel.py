@@ -10,7 +10,6 @@ the between term the gap across wage groups.
 
 import csv
 import io
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,8 +25,8 @@ CELLS = tuple((q, r) for q in QUANTILES for r in RACES)
 # partitions are immutable, so compute_series and build_distribution share this one
 _QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
 
-_BLOCK_ROWS = 4096  # lines read and converted at once (also rows written): bounds the raw text held
-_BAD = -(1 << 40)  # code of a label that does not parse; quarter indices may be negative
+_BLOCK_ROWS = 4096  # rows read and converted at once (also rows written): bounds the raw text held
+_BAD = -(1 << 40)  # code of a label that does not parse: 3 * quantile code + race code stays negative
 _NUMBER = "%.10g"  # the format of every number the CSV writers write
 
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
@@ -77,22 +76,22 @@ class PanelError(ValueError):
 
 
 def parse_quarter(label: str) -> int:
-    """Turn a 'YYYYQn' label into a sortable integer index (year*4 + n-1)."""
+    """Turn a 'YYYYQn' label into a sortable integer index (year*4 + n-1).
+
+    The year is four ASCII digits, so indices span 0000Q1 to 9999Q4.
+    """
     text = label.strip()
-    if len(text) != 6 or text[4] not in "Qq":
+    if len(text) != 6 or text[4] not in "Qq" or not (text.isascii() and text[:4].isdigit() and text[5].isdigit()):
         raise PanelError(f"malformed quarter label {label!r} (expected YYYYQn)")
-    try:
-        year = int(text[:4])
-        q = int(text[5])
-    except ValueError:
-        raise PanelError(f"malformed quarter label {label!r} (expected YYYYQn)") from None
+    q = int(text[5])
     if not 1 <= q <= 4:
         raise PanelError(f"quarter number out of range in {label!r}")
-    return year * 4 + (q - 1)
+    return int(text[:4]) * 4 + (q - 1)
 
 
 def format_quarter(index: int) -> str:
-    return f"{index // 4}Q{index % 4 + 1}"
+    """The 'YYYYQn' label of a quarter index, the inverse of parse_quarter."""
+    return f"{index // 4:04d}Q{index % 4 + 1}"
 
 
 @dataclass(frozen=True)
@@ -174,44 +173,41 @@ def _read_rows(source, header, error):
     ``source`` is a path or an open text file. A UTF-8 byte-order mark before
     the header is ignored, the stripped header must equal ``header``, blank
     rows are skipped and every other row must have one field per header
-    column; any failure raises ``error``. A block holds the rows of up to
-    ``_BLOCK_ROWS`` lines as one list of unstripped fields per column. A bad
-    field count or a ``csv.Error`` is raised after the rows before it are
-    yielded, so consumers report the first faulty row whatever its fault.
+    column; any failure raises ``error``. A block holds up to ``_BLOCK_ROWS``
+    rows as one list of unstripped fields per column, and the line number on
+    which each row ends. A bad field count or a ``csv.Error`` is raised after
+    the rows before it are yielded, so consumers report the first faulty row
+    whatever its fault.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield from _read_rows(fh, header, error)
         return
-    lines = iter(source)
-    reader = csv.reader(lines)  # reads no line beyond the header's
+    reader = csv.reader(source)
     first = next(reader, None)
     if first:
         first[0] = first[0].removeprefix("\ufeff")
     if first is None or tuple(h.strip() for h in first) != tuple(header):
         raise error(f"bad CSV header {first}; expected {','.join(header)}")
-    width, done = len(header), reader.line_num  # done: lines read so far
-    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        # csv.reader takes the block's lines, then any more its last row spans
-        reader = csv.reader(itertools.chain(block, lines))
-        rows, linenos, pending = [], [], None
-        try:
-            for row in reader:
-                if row and (len(row) > 1 or row[0].strip()):  # not blank
-                    if len(row) != width:
-                        pending = error(f"row {done + reader.line_num}: expected {width} fields, got {len(row)}")
-                        break
-                    rows.append(row)
-                    linenos.append(done + reader.line_num)
-                if reader.line_num >= len(block):
+    width = len(header)
+    rows, linenos, pending = [], [], None
+    try:
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):  # not blank
+                if len(row) != width:
+                    pending = error(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
                     break
-        except csv.Error as exc:
-            pending = exc
-        done += reader.line_num
-        if rows:
-            yield linenos, [list(column) for column in zip(*rows)]
-        if pending is not None:
-            raise pending
+                rows.append(row)
+                linenos.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    yield linenos, [list(column) for column in zip(*rows)]
+                    rows, linenos = [], []
+    except csv.Error as exc:
+        pending = exc
+    if rows:
+        yield linenos, [list(column) for column in zip(*rows)]
+    if pending is not None:
+        raise pending
 
 
 def _codes(column, table, parse) -> np.ndarray:
@@ -257,7 +253,8 @@ def _contiguous(qindices) -> np.ndarray:
     """Sorted distinct quarter indices; rejects an empty set and gaps.
 
     Marks the quarters present instead of sorting: parse_quarter bounds the
-    span, and a sort would page in more of numpy than small files need.
+    span to 40,000 quarters, and a sort would page in more of numpy than
+    small files need.
     """
     if not qindices.size:
         raise PanelError("CSV contains no data rows")
@@ -271,41 +268,18 @@ def _contiguous(qindices) -> np.ndarray:
     return np.arange(first, first + len(present))
 
 
-def _check_quarter_rows(linenos, columns, header, seen) -> None:
-    """Raise the first fault in a block of one-row-per-quarter rows, row by row.
-
-    ``seen`` holds the quarter indices of the rows before the block.
-    """
-    for lineno, quarter, *fields in zip(linenos, *columns):
-        quarter = quarter.strip()
-        qidx = _quarter(quarter, lineno)
-        if qidx in seen:
-            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
-        seen.add(qidx)
-        for f, name in zip(fields, header[1:]):
-            _number(f.strip(), lineno, name)
-    raise AssertionError("a block failed its column checks but no row fails")
-
-
 def _read_by_quarter(source, header):
     """Quarter labels and (T, m) values of a CSV with one row per quarter."""
-    quarter_codes, seen = {}, set()
-    quarters, values = [], []
-    for linenos, (labels, *texts) in _read_rows(source, header, PanelError):
-        q = _codes(labels, quarter_codes, parse_quarter)
-        v = [_floats(col) for col in texts]
-        ok = q.min() > _BAD and all(col is not None and np.isfinite(col).all() for col in v)
-        keys = set(q.tolist()) if ok else None
-        if keys is None or len(keys) < len(q) or not seen.isdisjoint(keys):
-            _check_quarter_rows(linenos, (labels, *texts), header, seen)
-        seen |= keys
-        quarters.append(q)
-        values.append(np.column_stack(v))
-    q = np.concatenate([np.empty(0, np.int64), *quarters])
-    qindices = _contiguous(q)
-    rows = np.empty((len(q), len(header) - 1))
-    rows[q - qindices[0]] = np.concatenate(values)  # quarters are distinct and contiguous
-    return tuple(map(format_quarter, qindices.tolist())), rows
+    rows = {}  # quarter index -> the row's values
+    for linenos, columns in _read_rows(source, header, PanelError):
+        for lineno, quarter, *fields in zip(linenos, *columns):
+            quarter = quarter.strip()
+            qidx = _quarter(quarter, lineno)
+            if qidx in rows:
+                raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
+            rows[qidx] = [_number(f.strip(), lineno, name) for f, name in zip(fields, header[1:])]
+    qindices = _contiguous(np.fromiter(rows, np.int64, len(rows))).tolist()
+    return tuple(map(format_quarter, qindices)), np.array([rows[q] for q in qindices])
 
 
 def _check_cell_rows(linenos, columns, name, positive, seen) -> None:

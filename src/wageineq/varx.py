@@ -435,7 +435,10 @@ def read_irf_csv(source) -> ImpulseResponse:
     for linenos, columns in _read_rows(source, _IRF_HEADER, VarxError):
         for lineno, h_text, name, *val_texts in zip(linenos, *columns):
             h_text, name = h_text.strip(), name.strip()
+            digits = h_text.removeprefix("-")
             try:
+                if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
+                    raise ValueError
                 key = (int(h_text), name)
                 vals = tuple(float(v) for v in val_texts)
             except ValueError:

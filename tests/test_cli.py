@@ -1,5 +1,6 @@
 """Tests for the command-line pipeline and its output contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -93,6 +94,7 @@ class TestIrf:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == ["irf_total.csv", "irf_components.csv"]
         assert manifest["spec"]["seed"] == 42
+        assert manifest["spec"] == dataclasses.asdict(vx.VarxSpec(bootstrap_reps=100, seed=42))
         assert len(manifest["wage_csv"]["sha256"]) == 64
         for fname in manifest["files"]:
             irf = vx.read_irf_csv(str(out / fname))

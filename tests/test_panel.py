@@ -30,10 +30,15 @@ FLAT = wage_csv_text(["2005Q1", "2005Q2"], lambda q, r, u: {"D1": 500, "Q3": 900
 
 class TestQuarterLabels:
     def test_round_trip(self):
-        for label in ("2000Q1", "2019Q4", "1987Q3"):
+        for label in ("2000Q1", "2019Q4", "1987Q3", "0999Q1", "0000Q1", "9999Q4"):
             assert pn.format_quarter(pn.parse_quarter(label)) == label
+        assert synthetic_wage_panel(8, "0999Q1").quarters[:2] == ("0999Q1", "0999Q2")
 
-    @pytest.mark.parametrize("bad", ["2000-Q1", "2000Q5", "Q12000", "20001", "2000q", "x"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["2000-Q1", "2000Q5", "Q12000", "20001", "2000q", "x",
+         "1_99Q1", "199 Q1", "+999Q1", "-999Q1", "\u0661\u0669\u0669\u0669Q1", "2000Q\uff11", "999Q1"],
+    )
     def test_malformed(self, bad):
         with pytest.raises(pn.PanelError, match="quarter"):
             pn.parse_quarter(bad)

@@ -286,13 +286,28 @@ class TestBlockColumnarReader:
         with pytest.raises(pn.PanelError, match=r"^row 12: non-numeric wage 'x'$"):
             pn.parse_wage_csv(io.StringIO(text))
 
-    @pytest.mark.parametrize("value", ["1.5", '"1.5"'])
-    def test_blocks_are_bounded(self, value, monkeypatch):
+    @pytest.mark.parametrize(
+        "value, spaced, second",
+        [
+            pytest.param("1.5", False, list(range(9, 16)), id="1.5"),
+            pytest.param('"1.5"', False, list(range(9, 16)), id='"1.5"'),
+            pytest.param("1.5", True, [10, 11, 13, 14, 15, 17, 18], id="spaced"),
+        ],
+    )
+    def test_blocks_are_bounded(self, value, spaced, second, monkeypatch):
         monkeypatch.setattr(pn, "_BLOCK_ROWS", 7)
         text = self.cells_text(["2000Q1", "2000Q2"], value)
+        if spaced:  # a blank line after data row 2, row 10's value over two lines, a blank line after row 12
+            lines = text.splitlines(keepends=True)
+            lines[2] += "\n"
+            lines[10] = lines[10].replace("1.5\n", '"1.5\n"\n')
+            lines[12] += "  \n"
+            text = "".join(lines)
         blocks = list(pn._read_rows(io.StringIO(text), pn._WAGE_HEADER, pn.PanelError))
         assert [len(linenos) for linenos, _ in blocks] == [7, 7, 4]
-        assert [list(linenos) for linenos, _ in blocks][1] == list(range(9, 16))
+        assert [list(linenos) for linenos, _ in blocks][1] == second
+        want = [n for n, _ in scalar_rows(io.StringIO(text), pn._WAGE_HEADER, pn.PanelError)]
+        assert [n for linenos, _ in blocks for n in linenos] == want
         assert all(len(column) == len(linenos) for linenos, columns in blocks for column in columns)
         assert blocks[0][1][3] == ["1.5"] * 7
 
@@ -346,6 +361,12 @@ class TestIrfReader:
     def test_negative_horizon_rejected(self):
         text = self.HEADER + "0,total,1,0,2\n-1,total,9,9,9\n1,total,1,0,2\n"
         with pytest.raises(vx.VarxError, match="^row 3: negative horizon -1$"):
+            vx.read_irf_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("horizon", ["1_0", "+1", "\u0661", "1\uff10", "-", ""])
+    def test_horizon_must_be_ascii_digits(self, horizon):
+        text = self.HEADER + "0,total,1,0,2\n" + f"{horizon},total,9,9,9\n"
+        with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
             vx.read_irf_csv(io.StringIO(text))
 
     def test_name_with_comma_round_trips(self, tmp_path):
