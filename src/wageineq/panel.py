@@ -224,17 +224,26 @@ def _codes(column, table, parse) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, column), np.int64, len(column))
 
 
+def _float(text) -> float:
+    """float(text), but a ValueError for the '_' separators and non-ASCII digits that float() takes."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def _floats(column):
     """float64 array of a column of numeric text, or None if a field does not parse."""
+    joined = "".join(column)  # one check per block; field by field only if it fails
+    parse = float if joined.isascii() and "_" not in joined else lambda text: _float(text.strip())
     try:
-        return np.fromiter(map(float, column), float, len(column))
+        return np.fromiter(map(parse, column), float, len(column))
     except ValueError:
         return None
 
 
 def _number(text, lineno, name) -> float:
     try:
-        value = float(text)
+        value = _float(text)
     except ValueError:
         raise PanelError(f"row {lineno}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):

@@ -12,11 +12,12 @@ future shocks held at zero; bands come from a recursive residual
 bootstrap that keeps the exogenous path fixed at its observed values.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _read_rows, _write_grid, parse_quarter
+from .panel import _float, _read_rows, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -198,18 +199,20 @@ class VarxModel:
         return len(self.names)
 
 
-def _solve_full_rank(Z: np.ndarray, Y: np.ndarray):
-    """QR least squares of stacked responses (n, T, k) on designs (n, T, m).
+def _solve_full_rank(ZY: np.ndarray, m: int):
+    """QR least squares of stacked responses on designs, given as [Z | Y] (n, T, m + k).
 
-    Returns the (n, m) mask of R diagonals below eps * largest column norm * T,
-    and the coefficients (n_ok, m, k) and R factors of the full-rank fits.
+    Only R is formed: R[:m, :m] is the design's R factor and R[:m, m:] is
+    Q^T Y. Returns the (n, m) mask of R diagonals below eps * largest column
+    norm * T (the column norms of R[:m, :m] are those of Z), and the
+    coefficients (n_ok, m, k) and R factors of the full-rank fits.
     """
-    Q, R = np.linalg.qr(Z)
-    tol = np.finfo(float).eps * np.linalg.norm(Z, axis=1).max(axis=1) * Z.shape[1]
-    deficient = np.abs(np.diagonal(R, axis1=1, axis2=2)) < tol[:, None]
+    R = np.linalg.qr(ZY, mode="r")
+    Rz = R[:, :m, :m]
+    tol = np.finfo(float).eps * np.linalg.norm(Rz, axis=1).max(axis=1) * ZY.shape[1]
+    deficient = np.abs(np.diagonal(Rz, axis1=1, axis2=2)) < tol[:, None]
     ok = ~deficient.any(axis=1)
-    # Q^T Y before the selection, so that Q is never copied
-    return deficient, np.linalg.solve(R[ok], (Q.swapaxes(1, 2) @ Y)[ok]), R[ok]
+    return deficient, np.linalg.solve(Rz[ok], R[ok, :m, m:]), Rz[ok]
 
 
 def _unpack(coefs: np.ndarray, spec: VarxSpec, k: int):
@@ -240,7 +243,7 @@ def estimate(design: Design) -> VarxModel:
             f"effective sample of {T_eff} rows is below the floor of {m + 10} "
             f"for {m} regressors"
         )
-    deficient, coefs, R = _solve_full_rank(Z[None], Y[None])
+    deficient, coefs, R = _solve_full_rank(np.concatenate((Z, Y), axis=1)[None], m)
     if deficient.any():
         bad = int(np.argmax(deficient[0]))
         raise RankError(f"design matrix is rank deficient at column {design.columns[bad]!r}")
@@ -318,7 +321,38 @@ def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: f
     return _recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
 
 
-_BOOT_CHUNK = 32  # replications per batched pass; stacked arrays scale with it, not with reps
+_CHUNK_BYTES = 1 << 20  # one chunk's [Z | Y]; sets how many replications share a batched pass
+
+
+@functools.lru_cache(maxsize=1)
+def _resample_rows(seed: int, reps: int, T_eff: int) -> np.ndarray:
+    """Read-only (reps, T_eff) residual rows; row r is drawn from the stream (seed, r).
+
+    Every target of a run shares one sample length, so the draws are made
+    once per run and reused.
+    """
+    rows = np.empty((reps, T_eff), np.min_scalar_type(T_eff - 1))
+    for r in range(reps):
+        rows[r] = np.random.default_rng((seed, r)).integers(0, T_eff, T_eff)
+    rows.setflags(write=False)
+    return rows
+
+
+def _regenerate(model: VarxModel, design: Design, base: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[Z | Y] (n, T_eff, m + k) of the samples regenerated from resampled residual rows (n, T_eff).
+
+    ``base`` (T_eff, k) is the intercept plus exogenous term of every row.
+    """
+    data, p, k, offset = design.data, design.spec.endogenous_lags, design.data.k, design.offset
+    drive = model.residuals[rows]
+    drive += base
+    X = _recurse(np.repeat(data.X[None], len(rows), axis=0), model.endo_coefs, drive, offset)
+    ZY = np.empty((len(rows), design.T_eff, design.m + k))
+    ZY[:, :, : design.m] = design.Z
+    for j in range(1, p + 1):
+        ZY[:, :, 1 + (j - 1) * k : 1 + j * k] = X[:, offset - j : data.T - j]
+    ZY[:, :, design.m :] = X[:, offset:]
+    return ZY
 
 
 def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
@@ -327,7 +361,8 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     Each replication resamples residual rows i.i.d. with replacement,
     regenerates the sample, re-estimates, and recomputes the multipliers.
     Replication r draws from a stream derived from (seed, r), so results
-    are identical regardless of evaluation order. Initial lags and the
+    are identical regardless of evaluation order or of how many
+    replications share a batched pass. Initial lags and the
     whole exogenous path stay at their observed values; d is exogenous by
     assumption and is not resampled. The default bands are the point
     estimate +/- 1 bootstrap standard deviation; the percentile method
@@ -336,22 +371,17 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     counted in ``dropped``; more than 5% failures aborts.
     """
     point = dynamic_multipliers(model, spec).point
-    data, dspec, T_eff = design.data, design.spec, design.T_eff
-    p, k, offset = dspec.endogenous_lags, data.k, design.offset
+    dspec, k = design.spec, design.data.k
     # intercept plus exogenous term, the same in every replication
     exog_rows = model.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
-    base = model.intercept + design.Z[:, 1 + p * k :] @ exog_rows
-    reps = spec.bootstrap_reps
+    base = model.intercept + design.Z[:, 1 + dspec.endogenous_lags * k :] @ exog_rows
+    reps, (T_eff, m) = spec.bootstrap_reps, design.Z.shape
+    resampled = _resample_rows(spec.seed, reps, T_eff)
+    chunk = max(1, _CHUNK_BYTES // (T_eff * (m + k) * 8))
     draws, dropped = [], 0
-    for first in range(0, reps, _BOOT_CHUNK):
-        chunk = range(first, min(first + _BOOT_CHUNK, reps))
-        rows = np.array([np.random.default_rng((spec.seed, r)).integers(0, T_eff, T_eff) for r in chunk])
-        Xb = np.repeat(data.X[None], len(chunk), axis=0)
-        _recurse(Xb, model.endo_coefs, base + model.residuals[rows], offset)
-        Zb = np.repeat(design.Z[None], len(chunk), axis=0)
-        for j in range(1, p + 1):
-            Zb[:, :, 1 + (j - 1) * k : 1 + j * k] = Xb[:, offset - j : data.T - j]
-        deficient, coefs, _ = _solve_full_rank(Zb, Xb[:, offset:])
+    for first in range(0, reps, chunk):
+        rows = resampled[first : first + chunk]
+        deficient, coefs, _ = _solve_full_rank(_regenerate(model, design, base, rows), m)
         dropped += int(deficient.any(axis=1).sum())
         _, endo, exog = _unpack(coefs, dspec, k)
         draws.append(_multipliers(endo, exog, spec.horizon, spec.shock_size))
@@ -440,7 +470,7 @@ def read_irf_csv(source) -> ImpulseResponse:
                 if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
                     raise ValueError
                 key = (int(h_text), name)
-                vals = tuple(float(v) for v in val_texts)
+                vals = tuple(_float(v.strip()) for v in val_texts)
             except ValueError:
                 raise VarxError(f"row {lineno}: non-numeric value") from None
             if key[0] < 0:

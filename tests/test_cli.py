@@ -105,6 +105,22 @@ class TestIrf:
         comps = vx.read_irf_csv(str(out / "irf_components.csv"))
         assert comps.names == ("within_d1", "within_q3", "within_d9", "between")
 
+    @pytest.mark.parametrize("extra", [[], ["--per-component"], ["--start", "2002Q1", "--end", "2008Q4"]])
+    def test_resampled_rows_are_drawn_once_per_run(self, runner, inputs, tmp_path, monkeypatch, extra):
+        wages, shocks = inputs
+        vx._resample_rows.cache_clear()
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or default_rng(seed))
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out")]
+            + self.ARGS + extra,
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]) > 1
+        assert seeds == [(42, r) for r in range(100)]
+
     def test_manifest_reports_dropped_replications(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         out = tmp_path / "out"

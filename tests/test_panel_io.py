@@ -121,7 +121,7 @@ CELL_FAULTS = (None, "label", "race", "quantile", "non_numeric", "non_finite", "
 QUARTER_FAULTS = (None, "label", "non_numeric", "non_finite", "duplicate", "dropped",
                   "extra_field", "short_field", "gap")
 VALUE_FAULTS = {
-    "non_numeric": ("abc", "", "1.2.3", "0x10"),
+    "non_numeric": ("abc", "", "1.2.3", "0x10", "1_0", "\u0661", "1\uff10"),
     "non_finite": ("inf", "nan", "-inf", "1e999"),
     "non_positive": ("0", "-1.5", "-0"),
 }
@@ -279,6 +279,20 @@ class TestBlockColumnarReader:
         with pytest.raises(csv.Error, match="new-line character"):
             pn.parse_wage_csv(io.StringIO(text.replace("Hispanic", "Black")))
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\uff10"])
+    def test_values_must_be_ascii_numbers(self, value):
+        text = self.cells_text(["2000Q1"]).replace("2000Q1,White,D9,1.5", f"2000Q1,White,D9,{value}")
+        with pytest.raises(pn.PanelError, match=rf"^row 10: non-numeric wage '{value}'$"):
+            pn.parse_wage_csv(io.StringIO(text))
+        text = f"quarter,shock\n2000Q1,1.5\n2000Q2,{value}\n"
+        with pytest.raises(pn.PanelError, match=rf"^row 3: non-numeric shock '{value}'$"):
+            pn.parse_shock_csv(io.StringIO(text))
+
+    def test_non_ascii_space_around_a_value_is_stripped(self):
+        text = self.cells_text(["2000Q1"]).replace("2000Q1,White,D9,1.5", "2000Q1,White,D9,\u00a02.5\u3000")
+        assert pn.parse_wage_csv(io.StringIO(text)).wage("2000Q1", "White", "D9") == 2.5
+        assert pn.parse_shock_csv(io.StringIO("quarter,shock\n2000Q1,\u00a0-1.5\n")).values.tolist() == [-1.5]
+
     def test_rows_after_a_field_spanning_lines_keep_their_numbers(self, monkeypatch):
         monkeypatch.setattr(pn, "_BLOCK_ROWS", 4)
         text = self.cells_text(["2000Q1"]).replace("2000Q1,Black,D1,1.5", '2000Q1,Black,D1,"1.5\n\n"')
@@ -366,6 +380,15 @@ class TestIrfReader:
     @pytest.mark.parametrize("horizon", ["1_0", "+1", "\u0661", "1\uff10", "-", ""])
     def test_horizon_must_be_ascii_digits(self, horizon):
         text = self.HEADER + "0,total,1,0,2\n" + f"{horizon},total,9,9,9\n"
+        with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
+            vx.read_irf_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\uff10"])
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    def test_values_must_be_ascii_numbers(self, value, column):
+        fields = ["1", "total", "1", "0", "2"]
+        fields[column] = value
+        text = self.HEADER + "0,total,1,0,2\n" + ",".join(fields) + "\n"
         with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
             vx.read_irf_csv(io.StringIO(text))
 

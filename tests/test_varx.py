@@ -118,8 +118,22 @@ class TestEstimate:
         X = rng.normal(size=(60, 2))
         X[:, 1] = 2.0 * X[:, 0]  # second variable duplicates the first
         data = make_data(X, rng.normal(size=60))
-        with pytest.raises(vx.RankError, match="rank deficient at column"):
+        with pytest.raises(vx.RankError, match="rank deficient at column 'x1.lag1'"):
             vx.estimate(vx.build_design(data, vx.VarxSpec()))
+
+    @pytest.mark.parametrize("scale, deficient", [(0.7, True), (1.5, False)])
+    def test_rank_tolerance_is_eps_times_largest_column_norm_times_rows(self, scale, deficient):
+        rng = np.random.default_rng(6)
+        T = 60
+        Z = np.column_stack([np.ones(T), 1.0 + 1e-3 * rng.normal(size=(T, 3)), np.zeros(T)])
+        tol = np.finfo(float).eps * np.linalg.norm(Z, axis=0).max() * T
+        # a last column orthogonal to the others, so its R diagonal is its norm;
+        # R's largest row norm is about twice the largest column norm here
+        Z[:, -1] = scale * tol * np.linalg.qr(Z[:, :-1], mode="complete")[0][:, -1]
+        ZY = np.column_stack([Z, rng.normal(size=(T, 2))])[None]
+        mask, coefs, _ = vx._solve_full_rank(ZY, Z.shape[1])
+        assert mask[0].tolist() == [False] * 4 + [deficient]
+        assert len(coefs) == (0 if deficient else 1)
 
     def test_fitted_plus_residual_reproduces_response(self):
         rng = np.random.default_rng(4)
@@ -441,6 +455,73 @@ class TestBatchedBootstrap:
             vx.VarxError, match=f"bootstrap aborted: {failures} of 100 replications failed re-estimation"
         ):
             vx.bootstrap_bands(model, design, spec)
+
+
+class TestChunksAndDraws:
+    """Chunk size and the cached resampled rows leave the bands unchanged."""
+
+    @staticmethod
+    def _cases():
+        spec = vx.VarxSpec(bootstrap_reps=150, seed=4)
+        design = vx.build_design(pipeline_data("components"), spec)
+        yield vx.estimate(design), design, spec
+        model, design = TestBatchedBootstrap._sparse_residual_model(nonzero_rows=4)
+        yield model, design, vx.VarxSpec(bootstrap_reps=400, seed=2)
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_bands_do_not_depend_on_chunk_size(self, monkeypatch):
+        solves = self._count_calls(monkeypatch, vx, "_solve_full_rank")
+        for model, design, spec in self._cases():
+            reps, per_rep = spec.bootstrap_reps, design.T_eff * (design.m + design.data.k) * 8
+            results = []
+            for budget, passes in ((per_rep, reps), (per_rep * 7, -(-reps // 7)), (per_rep * reps, 1)):
+                monkeypatch.setattr(vx, "_CHUNK_BYTES", budget)
+                vx._resample_rows.cache_clear()
+                solves.clear()
+                results.append(vx.bootstrap_bands(model, design, spec))
+                assert len(solves) == passes
+            for bands in results[1:]:
+                assert np.array_equal(bands.lower, results[0].lower)
+                assert np.array_equal(bands.upper, results[0].upper)
+                assert bands.dropped == results[0].dropped
+        assert results[0].dropped > 0
+
+    def test_rows_are_drawn_once_per_seed_reps_and_sample_length(self, monkeypatch):
+        model, design, spec = next(self._cases())
+        vx._resample_rows.cache_clear()
+        draws = self._count_calls(monkeypatch, np.random, "default_rng")
+        first = vx.bootstrap_bands(model, design, spec)
+        assert len(draws) == spec.bootstrap_reps
+        rows = vx._resample_rows(spec.seed, spec.bootstrap_reps, design.T_eff)
+        assert rows.shape == (spec.bootstrap_reps, design.T_eff) and rows.dtype == np.uint8
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        for r in (0, 1, spec.bootstrap_reps - 1):
+            want = np.random.default_rng((spec.seed, r)).integers(0, design.T_eff, design.T_eff)
+            assert np.array_equal(rows[r], want)
+        draws.clear()
+        again = vx.bootstrap_bands(model, design, spec)
+        assert draws == [] and vx._resample_rows(spec.seed, spec.bootstrap_reps, design.T_eff) is rows
+        assert np.array_equal(again.lower, first.lower) and np.array_equal(again.upper, first.upper)
+
+        shorter = vx.build_design(vx.subsample(design.data, design.data.quarters[1], design.data.quarters[-1]), spec)
+        vx.bootstrap_bands(vx.estimate(shorter), shorter, spec)
+        assert draws == [((spec.seed, r),) for r in range(spec.bootstrap_reps)]
+        draws.clear()
+        vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=spec.bootstrap_reps, seed=spec.seed + 1))
+        assert draws == [((spec.seed + 1, r),) for r in range(spec.bootstrap_reps)]
 
 
 class TestSubsample:
