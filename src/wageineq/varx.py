@@ -76,6 +76,8 @@ class VarxSpec:
             raise VarxError("horizon must be >= 1")
         if self.bootstrap_reps < 100:
             raise VarxError("bootstrap_reps must be >= 100")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise VarxError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.band_method not in ("sd", "percentile"):
             raise VarxError(f"unknown band_method {self.band_method!r}")
 
@@ -324,16 +326,99 @@ def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: f
 _CHUNK_BYTES = 1 << 20  # one chunk's [Z | Y]; sets how many replications share a batched pass
 
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier as (high, low) words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+
+
+def _seed_state(seed: int, reps: int) -> list:
+    """SeedSequence((seed, r)).generate_state(4, np.uint64) for every r < reps, as four (reps,) uint64 words."""
+    words = [seed & _M32]  # the entropy is seed's little-endian 32-bit words, then r
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    entropy = [np.full(reps, w, np.uint32) for w in words] + [np.arange(reps, dtype=np.uint32)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(reps, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _pcg_step(high: np.ndarray, low: np.ndarray, inc: tuple) -> tuple:
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (high, low) uint64 words."""
+    m_hi, m_lo = _PCG_MULT
+    lo0, lo1 = low & _M32, low >> 32
+    p00, p01, p10 = lo0 * (m_lo & _M32), lo0 * (m_lo >> 32), lo1 * (m_lo & _M32)
+    carry = ((p00 >> 32) + (p01 & _M32) + (p10 & _M32)) >> 32
+    high = high * np.uint64(m_lo) + low * np.uint64(m_hi) + lo1 * (m_lo >> 32) + (p01 >> 32) + (p10 >> 32) + carry
+    low = low * np.uint64(m_lo) + inc[1]
+    return high + inc[0] + (low < inc[1]), low
+
+
+def _stream_integers(seed: int, reps: int, bound: int, size: int) -> np.ndarray:
+    """Row r equals np.random.default_rng((seed, r)).integers(0, bound, size), for 1 <= bound <= 2**32.
+
+    A numpy replica of the streams for all r at once: SeedSequence's hash of
+    (seed, r), PCG64's seeding and steps as 128-bit arithmetic on uint64
+    pairs, and Lemire's bounded draw on each output's low then high 32 bits.
+    A row whose draw would take Lemire's rejection branch is redrawn with
+    numpy's own generator.
+    """
+    seed_hi, seed_lo, inc_hi, inc_lo = _seed_state(seed, reps)
+    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
+    # PCG64's seeding: a step from 0 gives inc; add the seed, then step again
+    high, low = _pcg_step(inc[0] + seed_hi + (inc[1] + seed_lo < inc[1]), inc[1] + seed_lo, inc)
+    out = np.empty((reps, size), np.min_scalar_type(bound - 1))
+    threshold = (_M32 + 1 - bound) % bound  # leftovers below it are rejected
+    rejected = np.zeros(reps, bool)
+    for j in range(0, size, 2):
+        high, low = _pcg_step(high, low, inc)
+        x, rot = high ^ low, high >> 58
+        x = x >> rot | x << (-rot & 63)
+        for col, half in ((j, x & _M32), (j + 1, x >> 32)):
+            if col < size:
+                m = half * np.uint64(bound)
+                out[:, col] = m >> 32
+                rejected |= (m & _M32) < threshold
+    for r in np.flatnonzero(rejected).tolist():
+        out[r] = np.random.default_rng((seed, r)).integers(0, bound, size)
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _resample_rows(seed: int, reps: int, T_eff: int) -> np.ndarray:
     """Read-only (reps, T_eff) residual rows; row r is drawn from the stream (seed, r).
 
+    Row r equals np.random.default_rng((seed, r)).integers(0, T_eff, T_eff).
     Every target of a run shares one sample length, so the draws are made
     once per run and reused.
     """
-    rows = np.empty((reps, T_eff), np.min_scalar_type(T_eff - 1))
-    for r in range(reps):
-        rows[r] = np.random.default_rng((seed, r)).integers(0, T_eff, T_eff)
+    rows = _stream_integers(seed, reps, T_eff, T_eff)
     rows.setflags(write=False)
     return rows
 
@@ -392,9 +477,29 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd
     else:
-        lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
-        upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
+        lower = np.minimum(_percentile(stack, 15.87), point)
+        upper = np.maximum(_percentile(stack, 84.13), point)
     return ImpulseResponse(model.names, point, lower, upper, dropped)
+
+
+def _percentile(stack: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(stack, q, axis=0), bit for bit, without importing numpy.ma.
+
+    Follows numpy's linear method: partition at the same order statistics
+    (ties such as -0.0 and 0.0 land where numpy puts them), interpolate
+    between the two around (n - 1) * q / 100, from the upper one when the
+    weight is >= 0.5, and give the partitioned last row where a column
+    holds a NaN.
+    """
+    n = stack.shape[0]
+    virtual = (n - 1) * (q / 100)
+    below = int(virtual) if virtual < n - 1 else -1  # numpy's index -1 past the last row
+    above = below + 1 if below >= 0 else -1
+    part = np.partition(stack, sorted({0, -1, below, above}), axis=0)
+    a, b, t = part[below], part[above], virtual - below
+    diff = b - a
+    result = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return np.where(np.isnan(part[-1]), part[-1], result)
 
 
 def subsample(data: TimeSeriesData, start: str, end: str) -> TimeSeriesData:

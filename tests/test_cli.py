@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import wageineq
 from wageineq import panel as pn
 from wageineq import varx as vx
 from wageineq.cli import main, run_demo
@@ -109,9 +114,9 @@ class TestIrf:
     def test_resampled_rows_are_drawn_once_per_run(self, runner, inputs, tmp_path, monkeypatch, extra):
         wages, shocks = inputs
         vx._resample_rows.cache_clear()
-        seeds = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or default_rng(seed))
+        calls = []
+        kernel = vx._stream_integers
+        monkeypatch.setattr(vx, "_stream_integers", lambda *args: calls.append(args) or kernel(*args))
         result = runner.invoke(
             main,
             ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out")]
@@ -119,7 +124,21 @@ class TestIrf:
         )
         assert result.exit_code == 0, result.output
         assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]) > 1
-        assert seeds == [(42, r) for r in range(100)]
+        [(seed, reps, T_eff, size)] = calls
+        assert (seed, reps, size) == (42, 100, T_eff)
+        assert vx._resample_rows.cache_info().misses == 1
+        for r, row in enumerate(vx._resample_rows(42, 100, T_eff)):
+            assert np.array_equal(row, np.random.default_rng((42, r)).integers(0, T_eff, T_eff))
+
+    def test_negative_seed_is_reported_on_one_line(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"),
+             "--reps", "100", "--seed", "-1"],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: seed must be a non-negative integer, not -1\n"
 
     def test_manifest_reports_dropped_replications(self, runner, inputs, tmp_path):
         wages, shocks = inputs
@@ -144,6 +163,24 @@ class TestIrf:
         radius = manifest["companion_spectral_radius"]
         assert set(radius) == set(manifest["files"]) == {"irf_total.csv", "irf_components.csv"}
         assert all(isinstance(r, float) and r > 0.0 for r in radius.values())
+
+    def test_manifest_radius_has_the_csv_precision(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out), "--target", "total"]
+            + self.ARGS,
+        )
+        assert result.exit_code == 0, result.output
+        radius = json.loads((out / "manifest.json").read_text())["companion_spectral_radius"]["irf_total.csv"]
+        aligned = pn.align(pn.parse_wage_csv(wages), pn.parse_shock_csv(shocks))
+        series = pn.compute_series(aligned.panel)
+        data = vx.TimeSeriesData(aligned.quarters, pn.standardize(series.total), aligned.shocks.values, ("total",))
+        spec = vx.VarxSpec(bootstrap_reps=100, seed=42)
+        exact = vx.companion_spectral_radius(vx.estimate(vx.build_design(data, spec)))
+        assert radius == float("%.10g" % exact)
+        assert len(repr(radius).replace(".", "").lstrip("0")) <= 10
 
     @staticmethod
     def run_spread_panel(runner, tmp_path, spread):
@@ -404,3 +441,65 @@ class TestControlNames:
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert sorted(manifest["controls"]) == ["employment", "indpro"]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs ``python -m wageineq.cli ARGS`` in this process and prints what it
+# imported and the BLAS thread setting it saw. Site hooks may import tempfile
+# at start-up, so it is dropped first and only the command's own imports count.
+RUN_CLI = """
+import json, os, runpy, sys
+sys.modules.pop("tempfile", None)
+sys.argv = ["wageineq", *sys.argv[1:]]
+try:
+    runpy.run_module("wageineq.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+mods = [m for m in ("numpy", "numpy.random", "numpy.ma", "tempfile") if m in sys.modules]
+print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": mods}))
+"""
+
+
+def run_python(code, *args, **env):
+    """Run code in a fresh interpreter with src on the path; return its last stdout line."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child_env.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestStartup:
+    """Each command imports only what it uses and runs BLAS on one thread."""
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        assert run_python("import sys, wageineq; print('numpy' in sys.modules)") == "False"
+
+    def test_public_names_resolve(self):
+        for name in wageineq.__all__:
+            assert getattr(wageineq, name).__module__.startswith("wageineq.")
+        assert set(wageineq.__all__) | {"__version__"} <= set(dir(wageineq))
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            wageineq.nonexistent
+
+    @pytest.mark.parametrize(
+        "extra, unused",
+        [([], {"numpy.random", "tempfile"}), (["--band-method", "percentile"], {"numpy.ma"})],
+    )
+    def test_irf_imports_only_what_it_uses(self, inputs, tmp_path, extra, unused):
+        wages, shocks = inputs
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"),
+                "--reps", "100", *extra]
+        report = json.loads(run_python(RUN_CLI, *args))
+        assert report["code"] == 0
+        assert "numpy" in report["modules"] and not unused & set(report["modules"])
+
+    def test_cli_pins_blas_to_one_thread(self):
+        assert json.loads(run_python(RUN_CLI, "--help"))["threads"] == "1"
+
+    def test_callers_thread_setting_is_kept(self):
+        assert json.loads(run_python(RUN_CLI, "--help", OPENBLAS_NUM_THREADS="3"))["threads"] == "3"

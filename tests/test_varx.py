@@ -51,11 +51,19 @@ class TestSpec:
             {"horizon": 0},
             {"bootstrap_reps": 50},
             {"band_method": "wald"},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(vx.VarxError):
             vx.VarxSpec(**kwargs)
+
+    def test_seed_beyond_64_bits(self):
+        spec = vx.VarxSpec(bootstrap_reps=100, seed=2**64 + 5)
+        design = vx.build_design(pipeline_data("total"), spec)
+        bands = assert_matches_scalar(vx.estimate(design), design, spec)
+        assert np.all(bands.lower <= bands.point) and np.all(bands.point <= bands.upper)
 
 
 class TestBuildDesign:
@@ -499,29 +507,94 @@ class TestChunksAndDraws:
 
     def test_rows_are_drawn_once_per_seed_reps_and_sample_length(self, monkeypatch):
         model, design, spec = next(self._cases())
+        reps = spec.bootstrap_reps
         vx._resample_rows.cache_clear()
-        draws = self._count_calls(monkeypatch, np.random, "default_rng")
+        kernel = self._count_calls(monkeypatch, vx, "_stream_integers")
         first = vx.bootstrap_bands(model, design, spec)
-        assert len(draws) == spec.bootstrap_reps
-        rows = vx._resample_rows(spec.seed, spec.bootstrap_reps, design.T_eff)
-        assert rows.shape == (spec.bootstrap_reps, design.T_eff) and rows.dtype == np.uint8
+        assert kernel == [(spec.seed, reps, design.T_eff, design.T_eff)]
+        rows = vx._resample_rows(spec.seed, reps, design.T_eff)
+        assert rows.shape == (reps, design.T_eff) and rows.dtype == np.uint8
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0
-        for r in (0, 1, spec.bootstrap_reps - 1):
-            want = np.random.default_rng((spec.seed, r)).integers(0, design.T_eff, design.T_eff)
-            assert np.array_equal(rows[r], want)
-        draws.clear()
+        assert_rows_are_streams(rows, spec.seed, design.T_eff)
+        kernel.clear()
         again = vx.bootstrap_bands(model, design, spec)
-        assert draws == [] and vx._resample_rows(spec.seed, spec.bootstrap_reps, design.T_eff) is rows
+        assert kernel == [] and vx._resample_rows(spec.seed, reps, design.T_eff) is rows
         assert np.array_equal(again.lower, first.lower) and np.array_equal(again.upper, first.upper)
 
         shorter = vx.build_design(vx.subsample(design.data, design.data.quarters[1], design.data.quarters[-1]), spec)
         vx.bootstrap_bands(vx.estimate(shorter), shorter, spec)
-        assert draws == [((spec.seed, r),) for r in range(spec.bootstrap_reps)]
-        draws.clear()
-        vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=spec.bootstrap_reps, seed=spec.seed + 1))
-        assert draws == [((spec.seed + 1, r),) for r in range(spec.bootstrap_reps)]
+        assert kernel == [(spec.seed, reps, shorter.T_eff, shorter.T_eff)]
+        kernel.clear()
+        vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=reps, seed=spec.seed + 1))
+        assert kernel == [(spec.seed + 1, reps, design.T_eff, design.T_eff)]
+        assert vx._resample_rows.cache_info().misses == 3
+
+
+def assert_rows_are_streams(rows, seed, bound):
+    """Row r must equal numpy's own draw from the stream (seed, r)."""
+    for r, row in enumerate(rows):
+        assert np.array_equal(row, np.random.default_rng((seed, r)).integers(0, bound, rows.shape[1]))
+
+
+class TestStreamKernel:
+    """The vectorised replica of the default_rng((seed, r)) streams."""
+
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3, 2**96 + 11, 2**128 + 1, 2**200 + 3]
+    SEED_IDS = ["0", "2^32-1", "2^32", "2^64+5", "2^70+3", "2^96+11", "2^128+1", "2^200+3"]
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    @pytest.mark.parametrize("T_eff, dtype", [(4, np.uint8), (77, np.uint8), (256, np.uint8), (300, np.uint16)])
+    def test_resampled_rows_equal_default_rng(self, monkeypatch, seed, T_eff, dtype):
+        vx._resample_rows.cache_clear()
+        numpy_draws = TestChunksAndDraws._count_calls(monkeypatch, np.random, "default_rng")
+        rows = vx._resample_rows(seed, 30, T_eff)
+        assert numpy_draws == []  # no rejections at these bounds, so numpy's generator is never used
+        assert rows.shape == (30, T_eff) and rows.dtype == dtype
+        monkeypatch.undo()
+        assert_rows_are_streams(rows, seed, T_eff)
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+    @pytest.mark.parametrize("bound", [65536, 1_000_003, 2**32])
+    def test_wide_bounds(self, seed, bound):
+        rows = vx._stream_integers(seed, 20, bound, 9)
+        assert rows.dtype == np.min_scalar_type(bound - 1)
+        assert_rows_are_streams(rows, seed, bound)
+
+    def test_rejected_draws_fall_back_to_numpy(self, monkeypatch):
+        bound, reps = 3 << 30, 60  # a quarter of the draws at this bound are rejected
+        numpy_draws = TestChunksAndDraws._count_calls(monkeypatch, np.random, "default_rng")
+        rows = vx._stream_integers(7, reps, bound, 4)
+        assert 0 < len(numpy_draws) < reps
+        redrawn = [args[0][1] for args in numpy_draws if args[0][0] == 7]
+        assert redrawn == sorted(set(redrawn)) and len(redrawn) == len(numpy_draws)
+        monkeypatch.undo()
+        assert_rows_are_streams(rows, 7, bound)
+
+
+class TestPercentile:
+    @given(
+        n=st.integers(1, 40),
+        width=st.integers(1, 3),
+        q=st.one_of(st.floats(0, 100), st.sampled_from([25.0, 50.0, 75.0])),  # the latter hit weight 0.5
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_numpy(self, n, width, q, data):
+        elements = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # ties, and zeros of both signs
+        )
+        stack = np.array(data.draw(st.lists(elements, min_size=n * width, max_size=n * width))).reshape(n, width)
+        with np.errstate(invalid="ignore"):
+            want = np.percentile(stack, q, axis=0)
+            got = vx._percentile(stack, q)
+        assert got.tobytes() == want.tobytes()
+
+    def test_weight_one_half_interpolates_from_the_upper_value(self):
+        stack = np.array([[-0.1321048632913019], [0.1257302210933933], [1.0]])  # a + d/2 != b - d/2 here
+        assert vx._percentile(stack, 25.0).tobytes() == np.percentile(stack, 25.0, axis=0).tobytes()
 
 
 class TestSubsample:
