@@ -8,6 +8,7 @@ term of the Theil decomposition the racial gap inside each wage group and
 the between term the gap across wage groups.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -25,8 +26,7 @@ CELLS = tuple((q, r) for q in QUANTILES for r in RACES)
 # partitions are immutable, so compute_series and build_distribution share this one
 _QUANTILE_PARTITION = Partition([q for q, _ in CELLS])
 
-_BLOCK_ROWS = 4096  # rows read and converted at once (also rows written): bounds the raw text held
-_BAD = -(1 << 40)  # code of a label that does not parse: 3 * quantile code + race code stays negative
+_WRITE_ROWS = 4096  # rows formatted and written at once: bounds the text held
 _NUMBER = "%.10g"  # the format of every number the CSV writers write
 
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
@@ -168,60 +168,31 @@ def _check_run(quarters) -> None:
 
 
 def _read_rows(source, header, error):
-    """Yield (line numbers, columns) for each block of a CSV's data rows.
+    """Yield (line number, unstripped fields) for each data row of a CSV, one row at a time.
 
     ``source`` is a path or an open text file. A UTF-8 byte-order mark before
     the header is ignored, the stripped header must equal ``header``, blank
     rows are skipped and every other row must have one field per header
-    column; any failure raises ``error``. A block holds up to ``_BLOCK_ROWS``
-    rows as one list of unstripped fields per column, and the line number on
-    which each row ends. A bad field count or a ``csv.Error`` is raised after
-    the rows before it are yielded, so consumers report the first faulty row
-    whatever its fault.
+    column. Any failure, a ``csv.Error`` included, raises ``error`` naming the
+    row. A row's line number is that of the line on which it ends.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from _read_rows(fh, header, error)
-        return
-    reader = csv.reader(source)
-    first = next(reader, None)
-    if first:
-        first[0] = first[0].removeprefix("\ufeff")
-    if first is None or tuple(h.strip() for h in first) != tuple(header):
-        raise error(f"bad CSV header {first}; expected {','.join(header)}")
-    width = len(header)
-    rows, linenos, pending = [], [], None
-    try:
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):  # not blank
-                if len(row) != width:
-                    pending = error(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
-                    break
-                rows.append(row)
-                linenos.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    yield linenos, [list(column) for column in zip(*rows)]
-                    rows, linenos = [], []
-    except csv.Error as exc:
-        pending = exc
-    if rows:
-        yield linenos, [list(column) for column in zip(*rows)]
-    if pending is not None:
-        raise pending
-
-
-def _codes(column, table, parse) -> np.ndarray:
-    """int64 codes of a column of raw labels, ``_BAD`` where ``parse`` fails.
-
-    ``table`` caches the code of every distinct label seen, so each label is
-    stripped and parsed once per file.
-    """
-    for label in set(column).difference(table):
+    opened = isinstance(source, (str, os.PathLike))
+    with open(source, "r", encoding="utf-8", newline="") if opened else contextlib.nullcontext(source) as fh:
+        reader = csv.reader(fh)
         try:
-            table[label] = parse(label.strip())
-        except ValueError:  # PanelError is a ValueError
-            table[label] = _BAD
-    return np.fromiter(map(table.__getitem__, column), np.int64, len(column))
+            first = next(reader, None)
+            if first:
+                first[0] = first[0].removeprefix("\ufeff")
+            if first is None or tuple(h.strip() for h in first) != tuple(header):
+                raise error(f"bad CSV header {first}; expected {','.join(header)}")
+            width = len(header)
+            for row in reader:
+                if len(row) == width:  # every header has two or more columns, so such a row is not blank
+                    yield reader.line_num, row
+                elif row and (len(row) > 1 or row[0].strip()):  # not blank
+                    raise error(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
+        except csv.Error as exc:
+            raise error(f"row {reader.line_num}: {exc}") from None
 
 
 def _float(text) -> float:
@@ -231,19 +202,11 @@ def _float(text) -> float:
     return float(text)
 
 
-def _floats(column):
-    """float64 array of a column of numeric text, or None if a field does not parse."""
-    joined = "".join(column)  # one check per block; field by field only if it fails
-    parse = float if joined.isascii() and "_" not in joined else lambda text: _float(text.strip())
-    try:
-        return np.fromiter(map(parse, column), float, len(column))
-    except ValueError:
-        return None
-
-
 def _number(text, lineno, name) -> float:
     try:
-        value = _float(text)
+        if not text.isascii() or "_" in text:  # float() also takes '_' separators and non-ASCII digits
+            raise ValueError
+        value = float(text)
     except ValueError:
         raise PanelError(f"row {lineno}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):
@@ -256,6 +219,14 @@ def _quarter(label, lineno) -> int:
         return parse_quarter(label)
     except PanelError as exc:
         raise PanelError(f"row {lineno}: {exc}") from None
+
+
+def _cell(race, quantile, lineno) -> int:
+    if race not in RACES:
+        raise PanelError(f"row {lineno}: unknown race {race!r}")
+    if quantile not in QUANTILES:
+        raise PanelError(f"row {lineno}: unknown quantile {quantile!r}")
+    return CELLS.index((quantile, race))
 
 
 def _contiguous(qindices) -> np.ndarray:
@@ -280,37 +251,14 @@ def _contiguous(qindices) -> np.ndarray:
 def _read_by_quarter(source, header):
     """Quarter labels and (T, m) values of a CSV with one row per quarter."""
     rows = {}  # quarter index -> the row's values
-    for linenos, columns in _read_rows(source, header, PanelError):
-        for lineno, quarter, *fields in zip(linenos, *columns):
-            quarter = quarter.strip()
-            qidx = _quarter(quarter, lineno)
-            if qidx in rows:
-                raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
-            rows[qidx] = [_number(f.strip(), lineno, name) for f, name in zip(fields, header[1:])]
+    for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
+        quarter = quarter.strip()
+        qidx = _quarter(quarter, lineno)
+        if qidx in rows:
+            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
+        rows[qidx] = [_number(f.strip(), lineno, name) for f, name in zip(fields, header[1:])]
     qindices = _contiguous(np.fromiter(rows, np.int64, len(rows))).tolist()
     return tuple(map(format_quarter, qindices)), np.array([rows[q] for q in qindices])
-
-
-def _check_cell_rows(linenos, columns, name, positive, seen) -> None:
-    """Raise the first fault in a block of quarter,race,quantile,value rows, row by row.
-
-    ``seen`` holds the keys (9 * quarter index + cell) of the rows before the block.
-    """
-    for lineno, *fields in zip(linenos, *columns):
-        quarter, race, quantile, text = (f.strip() for f in fields)
-        qidx = _quarter(quarter, lineno)
-        if race not in RACES:
-            raise PanelError(f"row {lineno}: unknown race {race!r}")
-        if quantile not in QUANTILES:
-            raise PanelError(f"row {lineno}: unknown quantile {quantile!r}")
-        value = _number(text, lineno, name)
-        if positive and value <= 0:
-            raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
-        key = 9 * qidx + CELLS.index((quantile, race))
-        if key in seen:
-            raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
-        seen.add(key)
-    raise AssertionError("a block failed its column checks but no row fails")
 
 
 def _read_cells(source, header, positive=False):
@@ -319,25 +267,27 @@ def _read_cells(source, header, positive=False):
     Rows may arrive in any order; every quarter needs all 9 cells once.
     """
     name = header[3]
-    quarter_codes, race_codes, quantile_codes = {}, {}, {}
-    seen = set()  # 9 * quarter index + cell of every row so far
-    quarters, cells, values = [], [], []
-    for linenos, columns in _read_rows(source, header, PanelError):
-        q = _codes(columns[0], quarter_codes, parse_quarter)
-        cell = 3 * _codes(columns[2], quantile_codes, QUANTILES.index) + _codes(columns[1], race_codes, RACES.index)
-        v = _floats(columns[3])
-        ok = v is not None and q.min() > _BAD and cell.min() >= 0 and np.isfinite(v).all()
-        keys = set((9 * q + cell).tolist()) if ok and not (positive and (v <= 0).any()) else None
-        if keys is None or len(keys) < len(q) or not seen.isdisjoint(keys):
-            _check_cell_rows(linenos, columns, name, positive, seen)
-        seen |= keys
-        quarters.append(q)
-        cells.append(cell)
-        values.append(v)
-    q = np.concatenate([np.empty(0, np.int64), *quarters])
-    qindices = _contiguous(q)
+    quarter_index, cell_index = {}, {}  # raw labels seen -> quarter index, raw (race, quantile) seen -> cell
+    values = {}  # 9 * quarter index + cell -> value
+    for lineno, (quarter, race, quantile, text) in _read_rows(source, header, PanelError):
+        qidx = quarter_index.get(quarter)
+        if qidx is None:
+            qidx = quarter_index[quarter] = _quarter(quarter.strip(), lineno)
+        cell = cell_index.get((race, quantile))
+        if cell is None:
+            cell = cell_index[race, quantile] = _cell(race.strip(), quantile.strip(), lineno)
+        text = text.strip()
+        value = _number(text, lineno, name)
+        if positive and value <= 0:
+            raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
+        key = 9 * qidx + cell
+        if key in values:
+            raise PanelError(f"row {lineno}: duplicate cell ({quarter.strip()}, {race.strip()}, {quantile.strip()})")
+        values[key] = value
+    keys = np.fromiter(values, np.int64, len(values))
+    qindices = _contiguous(keys // 9)
     grid = np.full((len(qindices), len(CELLS)), np.nan)  # values are finite, so NaN marks a missing cell
-    grid[q - qindices[0], np.concatenate(cells)] = np.concatenate(values)
+    grid.flat[keys - 9 * qindices[0]] = np.fromiter(values.values(), float, len(values))
     missing = np.flatnonzero(np.isnan(grid))
     if missing.size:
         t, c = divmod(int(missing[0]), len(CELLS))
@@ -508,7 +458,7 @@ def _write_grid(path, header, labels, keys, values) -> None:
     heads = ["".join("," + f for f in _csv_fields(key)) for key in keys]  # each key's fields after the label
     texts = _csv_fields(labels)
     numbers = np.ravel(values)
-    step, chunk = len(keys) * per_row, max(1, _BLOCK_ROWS // len(keys))  # numbers and labels per block
+    step, chunk = len(keys) * per_row, max(1, _WRITE_ROWS // len(keys))  # numbers and labels per block
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(texts), chunk):

@@ -13,6 +13,7 @@ bootstrap that keeps the exogenous path fixed at its observed values.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +69,12 @@ class VarxSpec:
     band_method: str = "sd"  # "sd" (+/- 1 bootstrap SD) or "percentile"
 
     def __post_init__(self):
-        if self.endogenous_lags < 1:
-            raise VarxError("endogenous_lags must be >= 1")
-        if self.exogenous_lags < 0:
-            raise VarxError("exogenous_lags must be >= 0")
-        if self.horizon < 1:
-            raise VarxError("horizon must be >= 1")
-        if self.bootstrap_reps < 100:
-            raise VarxError("bootstrap_reps must be >= 100")
+        for name, least in (("endogenous_lags", 1), ("exogenous_lags", 0), ("horizon", 1), ("bootstrap_reps", 100)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise VarxError(f"{name} must be an integer >= {least}, not {value!r}")
+        if not (isinstance(self.shock_size, (int, float, np.integer, np.floating)) and math.isfinite(self.shock_size)):
+            raise VarxError(f"shock_size must be a finite number, not {self.shock_size!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise VarxError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.band_method not in ("sd", "percentile"):
@@ -567,24 +566,23 @@ def read_irf_csv(source) -> ImpulseResponse:
     """Read a response table written by write_irf_csv."""
     entries = {}
     names = []
-    for linenos, columns in _read_rows(source, _IRF_HEADER, VarxError):
-        for lineno, h_text, name, *val_texts in zip(linenos, *columns):
-            h_text, name = h_text.strip(), name.strip()
-            digits = h_text.removeprefix("-")
-            try:
-                if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
-                    raise ValueError
-                key = (int(h_text), name)
-                vals = tuple(_float(v.strip()) for v in val_texts)
-            except ValueError:
-                raise VarxError(f"row {lineno}: non-numeric value") from None
-            if key[0] < 0:
-                raise VarxError(f"row {lineno}: negative horizon {h_text}")
-            if key in entries:
-                raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
-            if name not in names:
-                names.append(name)
-            entries[key] = vals
+    for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
+        h_text, name = h_text.strip(), name.strip()
+        digits = h_text.removeprefix("-")
+        try:
+            if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
+                raise ValueError
+            key = (int(h_text), name)
+            vals = tuple(_float(v.strip()) for v in val_texts)
+        except ValueError:
+            raise VarxError(f"row {lineno}: non-numeric value") from None
+        if key[0] < 0:
+            raise VarxError(f"row {lineno}: negative horizon {h_text}")
+        if key in entries:
+            raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
+        if name not in names:
+            names.append(name)
+        entries[key] = vals
     if not entries:
         raise VarxError("IRF CSV contains no data rows")
     H = max(h for h, _ in entries)

@@ -64,6 +64,13 @@ class TestDecompose:
         assert result.exit_code != 0
         assert "positive" in result.output
 
+    def test_csv_error_is_reported_on_one_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("quarter,race,quantile,wage\n2000Q1,Asian,D1," + "1" * 131_073 + "\n")
+        result = runner.invoke(main, ["decompose", "--wages", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == "Error: row 2: field larger than field limit (131072)\n"
+
     def test_missing_wages_flag(self, runner):
         result = runner.invoke(main, ["decompose"])
         assert result.exit_code != 0
@@ -139,6 +146,18 @@ class TestIrf:
         )
         assert result.exit_code == 1
         assert result.output == "Error: seed must be a non-negative integer, not -1\n"
+
+    @pytest.mark.parametrize("size", ["nan", "inf", "-inf"])
+    def test_non_finite_shock_size_is_reported_on_one_line(self, runner, inputs, tmp_path, size):
+        wages, shocks = inputs
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"),
+             "--reps", "100", "--shock-size", size],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: shock_size must be a finite number, not {float(size)!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_reports_dropped_replications(self, runner, inputs, tmp_path):
         wages, shocks = inputs

@@ -53,11 +53,21 @@ class TestSpec:
             {"band_method": "wald"},
             {"seed": -1},
             {"seed": 1.5},
+            {"endogenous_lags": 1.5},
+            {"exogenous_lags": 2.5},
+            {"horizon": 2.5},
+            {"bootstrap_reps": 150.5},
+            {"horizon": "10"},
+            {"shock_size": float("nan")},
+            {"shock_size": float("inf")},
+            {"shock_size": -float("inf")},
+            {"shock_size": "0.25"},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(vx.VarxError):
+        with pytest.raises(vx.VarxError) as exc:
             vx.VarxSpec(**kwargs)
+        assert next(iter(kwargs)) in str(exc.value)
 
     def test_seed_beyond_64_bits(self):
         spec = vx.VarxSpec(bootstrap_reps=100, seed=2**64 + 5)
@@ -574,6 +584,7 @@ class TestStreamKernel:
 
 
 class TestPercentile:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing, NaN and inf inputs are on purpose
     @given(
         n=st.integers(1, 40),
         width=st.integers(1, 3),
