@@ -20,7 +20,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -29,13 +28,17 @@ import click
 import numpy as np
 
 from . import panel as pn
-from . import varx as vx
 from .theil import DomainError
+
+# varx is imported inside the commands that fit a model, so decompose and
+# growth never load it.
 
 COMPONENT_NAMES = ("within_d1", "within_q3", "within_d9", "between")
 
 
 def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL (about 3 MB resident), which only the irf manifest needs
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -96,7 +99,7 @@ def run_irf(
     wage_csv,
     shock_csv,
     out_dir,
-    spec: vx.VarxSpec,
+    spec: "vx.VarxSpec",
     targets=("total", "components"),
     standardize: bool = True,
     start=None,
@@ -111,6 +114,8 @@ def run_irf(
     the between term, jointly by default or one univariate system per
     component with per_component.
     """
+    from . import varx as vx
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
@@ -252,6 +257,8 @@ def decompose(wages, out):
 def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_contemporaneous,
         start, end, endo_lags, exo_lags, controls, targets, per_component, band_method):
     """Estimate impulse responses of the inequality series to the shock."""
+    from . import varx as vx
+
     if wages is None or shocks is None:
         raise click.ClickException("--wages and --shocks (or config entries) are required")
     try:
@@ -282,6 +289,9 @@ def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_con
     explosive = [f for f, r in manifest["companion_spectral_radius"].items() if r >= 1.0]
     if explosive:
         click.echo(f"warning: companion spectral radius >= 1 (explosive fit) for {', '.join(explosive)}", err=True)
+    dropped = [f"{f} ({n} of {reps})" for f, n in manifest["bootstrap_dropped"].items() if n > 0]
+    if dropped:
+        click.echo(f"warning: bootstrap replications dropped as rank deficient for {', '.join(dropped)}", err=True)
     for fname in manifest["files"]:
         click.echo(f"wrote {Path(out) / fname}")
     click.echo(f"wrote {Path(out) / 'manifest.json'}")
@@ -310,6 +320,7 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
     """
     import tempfile
 
+    from . import varx as vx
     from .fixtures import synthetic_shock_series, synthetic_wage_panel
 
     if out_dir is None:

@@ -400,7 +400,9 @@ def growth_rates(panel: QuarterlyPanel, method: str = "yoy") -> GrowthSeries:
     'yoy' (default) is the year-over-year percent change
     100*(w_t - w_{t-4})/w_{t-4}, first defined at the fifth quarter; it
     suppresses quarterly seasonality. 'log_qoq' is the quarter-over-quarter
-    log difference in percent, first defined at the second quarter.
+    log difference in percent, first defined at the second quarter; it is
+    finite for all positive wages. A 'yoy' rate beyond the float range
+    raises PanelError naming its quarter and cell.
     """
     if method == "yoy":
         lag = 4
@@ -410,11 +412,26 @@ def growth_rates(panel: QuarterlyPanel, method: str = "yoy") -> GrowthSeries:
         raise ValueError(f"unknown growth method {method!r}")
     if panel.n_quarters <= lag:
         raise PanelError(f"panel spans {panel.n_quarters} quarters; need more than {lag}")
-    w = panel.wages
-    if method == "yoy":
-        growth = 100.0 * (w[lag:] - w[:-lag]) / w[:-lag]
-    else:
-        growth = 100.0 * np.log(w[lag:] / w[:-lag])
+    w0, w1 = panel.wages[:-lag], panel.wages[lag:]
+    with np.errstate(over="ignore", divide="ignore"):
+        if method == "yoy":
+            growth = 100.0 * (w1 - w0) / w0
+            far = ~np.isfinite(growth)  # 100 (w1 - w0) overflows first, for wages above ~1e306
+            growth[far] = 100.0 * ((w1[far] - w0[far]) / w0[far])
+        else:
+            ratio = w1 / w0
+            growth = 100.0 * np.log(ratio)
+            # where the ratio overflows or underflows, a difference of logs is still accurate
+            far = ~(ratio >= np.finfo(float).tiny) | (ratio == np.inf)
+            growth[far] = 100.0 * (np.log(w1[far]) - np.log(w0[far]))
+    overflow = np.flatnonzero(~np.isfinite(growth))
+    if overflow.size:
+        t, c = divmod(int(overflow[0]), len(CELLS))
+        quantile, race = CELLS[c]
+        raise PanelError(
+            f"{method} growth overflows at ({panel.quarters[lag + t]}, {race}, {quantile}): "
+            f"wage {w0[t, c]:.10g} -> {w1[t, c]:.10g}"
+        )
     return GrowthSeries(panel.quarters[lag:], growth, method)
 
 

@@ -305,6 +305,8 @@ def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: in
 
     Rows before ``start`` hold the pre-sample lags. Leading axes of X, drive
     and endo_coefs (..., p, k, k), such as replications, share one pass.
+    ``drive`` may be X[..., start:, :] itself: each row is read before it is
+    overwritten.
     """
     for i, t in enumerate(range(start, X.shape[-2])):
         x = drive[..., i, :]
@@ -322,7 +324,7 @@ def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: f
     return _recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
 
 
-_CHUNK_BYTES = 1 << 20  # one chunk's [Z | Y]; sets how many replications share a batched pass
+_CHUNK_BYTES = 2 << 20  # one chunk's working set; sets how many replications share a batched pass
 
 
 _M32 = 0xFFFFFFFF
@@ -422,21 +424,36 @@ def _resample_rows(seed: int, reps: int, T_eff: int) -> np.ndarray:
     return rows
 
 
-def _regenerate(model: VarxModel, design: Design, base: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[Z | Y] (n, T_eff, m + k) of the samples regenerated from resampled residual rows (n, T_eff).
+def _solve_lags(V: np.ndarray, lag_cols: int, Q_F: np.ndarray, R_F: np.ndarray):
+    """Least squares of Y on [F | L] for stacked V = [L | Y] (n, T_eff, w), where F = Q_F R_F is fixed.
 
-    ``base`` (T_eff, k) is the intercept plus exogenous term of every row.
+    By Frisch-Waugh-Lovell the coefficients on the ``lag_cols`` columns L
+    are those of Y on L with F partialled out of both. F is projected out of
+    V twice, so what is left is orthogonal to F to rounding, and the lag
+    coefficients come from the R-only QR of the rest. The coefficients on F
+    then solve R_F B_F = Q_F^T (Y - L B_L). With F's columns first, the R
+    factor of [F | L] is [[R_F, Q_F^T L], [0, R_L]], R_L that of the
+    projected L; a fit is deficient when a diagonal of R_F or R_L is below
+    eps * largest column norm * T_eff. Returns that (n,) mask and the
+    coefficients on F (n_ok, f, k) and on L (n_ok, lag_cols, k) of the
+    full-rank fits. V is overwritten.
     """
-    data, p, k, offset = design.data, design.spec.endogenous_lags, design.data.k, design.offset
-    drive = model.residuals[rows]
-    drive += base
-    X = _recurse(np.repeat(data.X[None], len(rows), axis=0), model.endo_coefs, drive, offset)
-    ZY = np.empty((len(rows), design.T_eff, design.m + k))
-    ZY[:, :, : design.m] = design.Z
-    for j in range(1, p + 1):
-        ZY[:, :, 1 + (j - 1) * k : 1 + j * k] = X[:, offset - j : data.T - j]
-    ZY[:, :, design.m :] = X[:, offset:]
-    return ZY
+    QtV = np.matmul(Q_F.T, V)
+    V -= np.matmul(Q_F, QtV)
+    again = np.matmul(Q_F.T, V)
+    V -= np.matmul(Q_F, again)
+    QtV += again
+    R = np.linalg.qr(V, mode="r")
+    R_L = R[:, :lag_cols, :lag_cols]
+    # column norms of [F | L] from the columns of its R factor
+    L_norm = np.sqrt(np.sum(QtV[:, :, :lag_cols] ** 2, axis=1) + np.sum(R_L**2, axis=1)).max(axis=1)
+    tol = np.finfo(float).eps * np.maximum(L_norm, np.linalg.norm(R_F, axis=0).max()) * V.shape[1]
+    deficient = np.abs(np.diagonal(R_L, axis1=1, axis2=2)) < tol[:, None]
+    deficient = deficient.any(axis=1) | (np.abs(np.diag(R_F)).min() < tol)
+    ok = ~deficient
+    B_L = np.linalg.solve(R_L[ok], R[ok, :lag_cols, lag_cols:])
+    B_F = np.linalg.solve(R_F, QtV[ok, :, lag_cols:] - QtV[ok, :, :lag_cols] @ B_L)
+    return deficient, B_F, B_L
 
 
 def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
@@ -448,26 +465,43 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     are identical regardless of evaluation order or of how many
     replications share a batched pass. Initial lags and the
     whole exogenous path stay at their observed values; d is exogenous by
-    assumption and is not resampled. The default bands are the point
-    estimate +/- 1 bootstrap standard deviation; the percentile method
-    uses the 15.87/84.13 percentiles (clipped to contain the point).
+    assumption and is not resampled, so only the lag columns of the design
+    change between replications: the constant and shock columns are
+    factored once and partialled out of each refit (``_solve_lags``). The
+    default bands are the point estimate +/- 1 bootstrap standard
+    deviation; the percentile method uses the 15.87/84.13 percentiles
+    (clipped to contain the point).
     Replications whose re-estimation is rank deficient are dropped and
     counted in ``dropped``; more than 5% failures aborts.
     """
     point = dynamic_multipliers(model, spec).point
-    dspec, k = design.spec, design.data.k
+    dspec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
+    reps, T_eff, lag_cols = spec.bootstrap_reps, design.T_eff, p * k
+    lags = slice(1, 1 + lag_cols)
     # intercept plus exogenous term, the same in every replication
     exog_rows = model.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
-    base = model.intercept + design.Z[:, 1 + dspec.endogenous_lags * k :] @ exog_rows
-    reps, (T_eff, m) = spec.bootstrap_reps, design.Z.shape
+    base = model.intercept + design.Z[:, lags.stop :] @ exog_rows
+    Q_F, R_F = np.linalg.qr(np.delete(design.Z, lags, axis=1))  # [const | shock columns]
     resampled = _resample_rows(spec.seed, reps, T_eff)
-    chunk = max(1, _CHUNK_BYTES // (T_eff * (m + k) * 8))
+    w = lag_cols + k
+    # the path, V = [L | Y] and one V-sized temporary at a time: a projection, then the QR's copy
+    chunk = min(reps, max(1, _CHUNK_BYTES // (8 * ((p + T_eff) * k + 2 * T_eff * w))))
+    path = np.empty((chunk, p + T_eff, k))
+    path[:, :p] = design.data.X[design.offset - p : design.offset]  # pre-sample lags, never overwritten
+    V = np.empty((chunk, T_eff, w))
     draws, dropped = [], 0
     for first in range(0, reps, chunk):
         rows = resampled[first : first + chunk]
-        deficient, coefs, _ = _solve_full_rank(_regenerate(model, design, base, rows), m)
-        dropped += int(deficient.any(axis=1).sum())
-        _, endo, exog = _unpack(coefs, dspec, k)
+        X, Vn = path[: len(rows)], V[: len(rows)]
+        X[:, p:] = model.residuals[rows]
+        X[:, p:] += base
+        _recurse(X, model.endo_coefs, X[:, p:], p)  # in place
+        for j in range(1, p + 1):
+            Vn[:, :, (j - 1) * k : j * k] = X[:, p - j : p - j + T_eff]
+        Vn[:, :, lag_cols:] = X[:, p:]
+        deficient, B_F, B_L = _solve_lags(Vn, lag_cols, Q_F, R_F)
+        dropped += int(deficient.sum())
+        _, endo, exog = _unpack(np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1), dspec, k)
         draws.append(_multipliers(endo, exog, spec.horizon, spec.shock_size))
     if dropped > 0.05 * reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {reps} replications failed re-estimation")

@@ -85,6 +85,36 @@ class TestGrowth:
         growth = pn.read_growth_csv(str(out / "growth.csv"))
         assert growth.growth.shape[1] == 9
 
+    @staticmethod
+    def run_growth(runner, tmp_path, levels, method):
+        """growth on a panel whose nine cells all take ``levels`` in turn."""
+        wages, out = tmp_path / "wages.csv", tmp_path / "out"
+        grid = np.repeat(np.array(levels, dtype=float)[:, None], 9, axis=1)
+        pn.write_wage_csv(pn.QuarterlyPanel(make_quarters("2000Q1", len(levels)), grid), wages)
+        return runner.invoke(main, ["growth", "--wages", str(wages), "--out", str(out), "--method", method]), out
+
+    def test_log_growth_beyond_the_ratio_range(self, runner, tmp_path):
+        # 1e300 / 1e-300 overflows and 1e-300 / 1e300 underflows, but 100 ln(1e600) is about 138155
+        result, out = self.run_growth(runner, tmp_path, [1e-300, 1e300, 1e-300, 1e300, 1e300], "log_qoq")
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        growth = pn.read_growth_csv(out / "growth.csv").growth
+        step = float("%.10g" % (100 * 600 * np.log(10.0)))  # as written
+        assert np.array_equal(growth, np.array([step, -step, step, 0.0])[:, None] * np.ones(9))
+
+    def test_yoy_overflow_names_quarter_and_cell(self, runner, tmp_path):
+        result, out = self.run_growth(runner, tmp_path, [1e-300] + [1e300] * 5, "yoy")
+        assert result.exit_code == 1
+        assert result.output == "Error: yoy growth overflows at (2001Q1, Asian, D1): wage 1e-300 -> 1e+300\n"
+        assert not (out / "growth.csv").exists()
+
+    def test_yoy_growth_of_huge_wages(self, runner, tmp_path):
+        # 100 * (1.7e307 - 1e307) overflows, but the 70% rate does not
+        result, out = self.run_growth(runner, tmp_path, [1e307] * 4 + [1.7e307] * 2, "yoy")
+        assert result.exit_code == 0, result.output
+        growth = pn.read_growth_csv(out / "growth.csv").growth
+        np.testing.assert_allclose(growth, [[70.0] * 9, [70.0] * 9], rtol=1e-10)
+
     def test_short_span_fails(self, runner, tmp_path):
         wages = tmp_path / "short.csv"
         pn.write_wage_csv(constant_panel(4), wages)
@@ -169,6 +199,31 @@ class TestIrf:
         assert result.exit_code == 0, result.output
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["bootstrap_dropped"] == {"irf_total.csv": 0, "irf_components.csv": 0}
+
+    def test_dropped_replications_warn_on_stderr(self, runner, inputs, tmp_path, monkeypatch):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)] + self.ARGS
+        clean = runner.invoke(main, args)
+        assert clean.exit_code == 0, clean.output
+        assert "dropped" not in clean.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+
+        bands = vx.bootstrap_bands
+
+        def dropping(model, design, spec):
+            irf = bands(model, design, spec)
+            return dataclasses.replace(irf, dropped=3) if design.data.k > 1 else irf
+
+        monkeypatch.setattr(vx, "bootstrap_bands", dropping)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == clean.stdout
+        warnings = [line for line in result.stderr.splitlines() if "dropped" in line]
+        assert warnings == ["warning: bootstrap replications dropped as rank deficient for irf_components.csv (3 of 100)"]
+        assert result.stderr.replace(warnings[0] + "\n", "") == clean.stderr
+        manifest["bootstrap_dropped"]["irf_components.csv"] = 3
+        assert json.loads((out / "manifest.json").read_text()) == manifest
 
     def test_manifest_reports_spectral_radius(self, runner, inputs, tmp_path):
         wages, shocks = inputs
@@ -475,7 +530,7 @@ try:
     runpy.run_module("wageineq.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-mods = [m for m in ("numpy", "numpy.random", "numpy.ma", "tempfile") if m in sys.modules]
+mods = [m for m in ("numpy", "numpy.random", "numpy.ma", "tempfile", "hashlib", "wageineq.varx") if m in sys.modules]
 print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": mods}))
 """
 
@@ -516,6 +571,14 @@ class TestStartup:
         report = json.loads(run_python(RUN_CLI, *args))
         assert report["code"] == 0
         assert "numpy" in report["modules"] and not unused & set(report["modules"])
+        assert "wageineq.varx" in report["modules"]
+
+    @pytest.mark.parametrize("command", ["decompose", "growth"])
+    def test_panel_commands_leave_varx_and_hashlib_unloaded(self, inputs, tmp_path, command):
+        wages, _ = inputs
+        report = json.loads(run_python(RUN_CLI, command, "--wages", str(wages), "--out", str(tmp_path / "out")))
+        assert report["code"] == 0
+        assert "numpy" in report["modules"] and not {"wageineq.varx", "hashlib"} & set(report["modules"])
 
     def test_cli_pins_blas_to_one_thread(self):
         assert json.loads(run_python(RUN_CLI, "--help"))["threads"] == "1"

@@ -434,14 +434,16 @@ class TestBatchedBootstrap:
         assert_matches_scalar(vx.estimate(design), design, spec)
 
     @staticmethod
-    def _sparse_residual_model(nonzero_rows):
-        """Univariate model whose regenerated sample stays exactly zero until
-        a draw hits one of its ``nonzero_rows`` nonzero residuals.
+    def _sparse_residual_model(nonzero_rows, level=0.0, b=0.5):
+        """Univariate model whose regenerated sample stays exactly at ``level``
+        (the data and the intercept) until a draw hits one of its
+        ``nonzero_rows`` nonzero residuals; ``b`` is the lag coefficient.
 
-        An all-zero lag column makes that replication's design rank deficient.
+        An all-zero lag column makes that replication's design rank deficient,
+        and so does a constant one.
         """
         rng = np.random.default_rng(17)
-        design = vx.build_design(make_data(np.zeros(81), rng.normal(size=81)), vx.VarxSpec())
+        design = vx.build_design(make_data(np.full(81, level), rng.normal(size=81)), vx.VarxSpec())
         resid = np.zeros((design.T_eff, 1))
         resid[:nonzero_rows, 0] = 1.0
         model = vx.VarxModel(
@@ -449,8 +451,8 @@ class TestBatchedBootstrap:
             endogenous_lags=1,
             exogenous_lags=4,
             contemporaneous_shock=True,
-            intercept=np.zeros(1),
-            endo_coefs=np.array([[[0.5]]]),
+            intercept=np.full(1, level),
+            endo_coefs=np.array([[[b]]]),
             exog_coefs=np.zeros((5, 1)),
             residuals=resid,
             sigma=np.zeros((1, 1)),
@@ -463,6 +465,24 @@ class TestBatchedBootstrap:
         spec = vx.VarxSpec(bootstrap_reps=400, seed=2)
         bands = assert_matches_scalar(model, design, spec)
         assert 0 < bands.dropped <= 0.05 * spec.bootstrap_reps
+
+    def test_lag_column_collinear_with_the_constant_is_dropped(self):
+        # x = 1 + residual: a replication that draws no nonzero residual has a
+        # nonzero lag column equal to the constant column, which is partialled out
+        model, design = self._sparse_residual_model(nonzero_rows=4, level=1.0, b=0.0)
+        bands = assert_matches_scalar(model, design, vx.VarxSpec(bootstrap_reps=400, seed=2))
+        assert bands.dropped == 5
+
+    def test_deficient_shock_columns_fail_every_replication(self):
+        # an all-zero shock path leaves the fixed columns [const | shock lags] deficient
+        model, design = self._sparse_residual_model(nonzero_rows=40)
+        data = design.data
+        design = vx.build_design(vx.TimeSeriesData(data.quarters, data.X, np.zeros(data.T), data.names), design.spec)
+        spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
+        with pytest.raises(vx.RankError):
+            vx.estimate(design)
+        with pytest.raises(vx.VarxError, match="bootstrap aborted: 100 of 100 replications"):
+            vx.bootstrap_bands(model, design, spec)
 
     def test_too_many_failures_abort(self):
         model, design = self._sparse_residual_model(nonzero_rows=1)
@@ -499,9 +519,11 @@ class TestChunksAndDraws:
         return calls
 
     def test_bands_do_not_depend_on_chunk_size(self, monkeypatch):
-        solves = self._count_calls(monkeypatch, vx, "_solve_full_rank")
+        solves = self._count_calls(monkeypatch, vx, "_solve_lags")
         for model, design, spec in self._cases():
-            reps, per_rep = spec.bootstrap_reps, design.T_eff * (design.m + design.data.k) * 8
+            p, k, T_eff = design.spec.endogenous_lags, design.data.k, design.T_eff
+            # the path, V = [L | Y] and one V-sized temporary
+            reps, per_rep = spec.bootstrap_reps, 8 * ((p + T_eff) * k + 2 * T_eff * (p * k + k))
             results = []
             for budget, passes in ((per_rep, reps), (per_rep * 7, -(-reps // 7)), (per_rep * reps, 1)):
                 monkeypatch.setattr(vx, "_CHUNK_BYTES", budget)
