@@ -151,6 +151,7 @@ def run_irf(
             data = vx.TimeSeriesData(data.quarters, X, data.d, data.names)
         return data
 
+    targets = list(dict.fromkeys(targets))  # a repeated target is run once
     runs = []
     ctrl_names = list(control_cols)
     for target in targets:
@@ -167,6 +168,8 @@ def run_irf(
 
     dropped = {}  # output file -> bootstrap replications dropped
     radius = {}  # output file -> companion spectral radius of the point fit
+    sample = {}  # output file -> effective sample T_eff of the fit
+    regressors = {}  # output file -> regressor count m of the fit
     for label, var_names in runs:
         data = make_data(var_names)
         design = vx.build_design(data, spec)
@@ -175,6 +178,7 @@ def run_irf(
         fname = f"irf_{label}.csv"
         vx.write_irf_csv(irf, out_dir / fname)
         dropped[fname] = irf.dropped
+        sample[fname], regressors[fname] = design.T_eff, design.m
         # at the CSVs' precision, so a last-ulp change in the fit leaves the manifest's bytes alone
         radius[fname] = float(pn._NUMBER % vx.companion_spectral_radius(model))
 
@@ -184,7 +188,7 @@ def run_irf(
         "controls": {
             Path(p).stem: {"path": str(p), "sha256": _sha256(p)} for p in controls
         },
-        "targets": list(targets),
+        "targets": targets,
         "per_component": per_component,
         "standardize": standardize,
         "start": start,
@@ -193,6 +197,8 @@ def run_irf(
         "files": list(dropped),
         "bootstrap_dropped": dropped,
         "companion_spectral_radius": radius,
+        "effective_sample": sample,
+        "regressors": regressors,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -305,14 +305,19 @@ def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: in
 
     Rows before ``start`` hold the pre-sample lags. Leading axes of X, drive
     and endo_coefs (..., p, k, k), such as replications, share one pass.
+    Each step is one product of the window coefficients [B_p ... B_1]
+    (..., k, p k) with the lag window X[..., t-p:t, :] read as a (p k, 1)
+    column, stacked over the leading axes, so every replication's result
+    is the same whatever it is batched with; for p = 1 it is B_1 X_{t-1}.
     ``drive`` may be X[..., start:, :] itself: each row is read before it is
     overwritten.
     """
+    p, k = endo_coefs.shape[-3], endo_coefs.shape[-1]
+    window = endo_coefs[..., ::-1, :, :].swapaxes(-3, -2).reshape(endo_coefs.shape[:-3] + (k, p * k))
+    lead = X.shape[:-2]
     for i, t in enumerate(range(start, X.shape[-2])):
-        x = drive[..., i, :]
-        for j in range(1, endo_coefs.shape[-3] + 1):
-            x = x + (endo_coefs[..., j - 1, :, :] @ X[..., t - j, :, None])[..., 0]
-        X[..., t, :] = x
+        lags = X[..., t - p : t, :].reshape(lead + (p * k, 1))
+        np.add(drive[..., i, :], (window @ lags)[..., 0], out=X[..., t, :])
     return X
 
 
@@ -324,7 +329,19 @@ def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: f
     return _recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
 
 
-_CHUNK_BYTES = 2 << 20  # one chunk's working set; sets how many replications share a batched pass
+_CHUNK_BYTES = 2 << 20  # the bootstrap's working set; sets how many replications share a batched pass
+
+
+def _pass_sizes(reps: int, p: int, k: int, T_eff: int) -> tuple:
+    """Replications per regeneration pass and per refit in ``bootstrap_bands``.
+
+    Half of _CHUNK_BYTES holds a pass's regenerated paths (p + T_eff, k);
+    the other half holds a refit's V = [L | Y] (T_eff, p k + k) and one
+    V-sized temporary (a projection, then the QR's copy of V).
+    """
+    half = _CHUNK_BYTES // 2
+    regen = min(reps, max(1, half // (8 * (p + T_eff) * k)))
+    return regen, min(regen, max(1, half // (16 * T_eff * (p * k + k))))
 
 
 _M32 = 0xFFFFFFFF
@@ -467,7 +484,10 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     whole exogenous path stay at their observed values; d is exogenous by
     assumption and is not resampled, so only the lag columns of the design
     change between replications: the constant and shock columns are
-    factored once and partialled out of each refit (``_solve_lags``). The
+    factored once and partialled out of each refit (``_solve_lags``).
+    Paths are regenerated for many replications per pass and each pass is
+    refitted in smaller groups (``_pass_sizes``); every product is taken
+    per replication, so the bands do not depend on either size. The
     default bands are the point estimate +/- 1 bootstrap standard
     deviation; the percentile method uses the 15.87/84.13 percentiles
     (clipped to contain the point).
@@ -483,25 +503,28 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     base = model.intercept + design.Z[:, lags.stop :] @ exog_rows
     Q_F, R_F = np.linalg.qr(np.delete(design.Z, lags, axis=1))  # [const | shock columns]
     resampled = _resample_rows(spec.seed, reps, T_eff)
-    w = lag_cols + k
-    # the path, V = [L | Y] and one V-sized temporary at a time: a projection, then the QR's copy
-    chunk = min(reps, max(1, _CHUNK_BYTES // (8 * ((p + T_eff) * k + 2 * T_eff * w))))
-    path = np.empty((chunk, p + T_eff, k))
+    regen, refit = _pass_sizes(reps, p, k, T_eff)
+    path = np.empty((regen, p + T_eff, k))
     path[:, :p] = design.data.X[design.offset - p : design.offset]  # pre-sample lags, never overwritten
-    V = np.empty((chunk, T_eff, w))
+    V = np.empty((refit, T_eff, lag_cols + k))
     draws, dropped = [], 0
-    for first in range(0, reps, chunk):
-        rows = resampled[first : first + chunk]
-        X, Vn = path[: len(rows)], V[: len(rows)]
+    for first in range(0, reps, regen):
+        rows = resampled[first : first + regen]
+        X = path[: len(rows)]
         X[:, p:] = model.residuals[rows]
         X[:, p:] += base
         _recurse(X, model.endo_coefs, X[:, p:], p)  # in place
-        for j in range(1, p + 1):
-            Vn[:, :, (j - 1) * k : j * k] = X[:, p - j : p - j + T_eff]
-        Vn[:, :, lag_cols:] = X[:, p:]
-        deficient, B_F, B_L = _solve_lags(Vn, lag_cols, Q_F, R_F)
-        dropped += int(deficient.sum())
-        _, endo, exog = _unpack(np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1), dspec, k)
+        coefs = []
+        for lo in range(0, len(rows), refit):
+            Xs = X[lo : lo + refit]
+            Vn = V[: len(Xs)]
+            for j in range(1, p + 1):
+                Vn[:, :, (j - 1) * k : j * k] = Xs[:, p - j : p - j + T_eff]
+            Vn[:, :, lag_cols:] = Xs[:, p:]
+            deficient, B_F, B_L = _solve_lags(Vn, lag_cols, Q_F, R_F)
+            dropped += int(deficient.sum())
+            coefs.append(np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1))
+        _, endo, exog = _unpack(np.concatenate(coefs), dspec, k)
         draws.append(_multipliers(endo, exog, spec.horizon, spec.shock_size))
     if dropped > 0.05 * reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {reps} replications failed re-estimation")

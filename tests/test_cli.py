@@ -283,6 +283,46 @@ class TestIrf:
         assert stderr.count("warning") == 1
         assert "companion spectral radius >= 1" in stderr and "irf_total.csv" in stderr
 
+    def test_repeated_targets_run_once(self, runner, inputs, tmp_path, monkeypatch):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        fits = []
+        bands = vx.bootstrap_bands
+        monkeypatch.setattr(vx, "bootstrap_bands", lambda *args: fits.append(args[1].data.names) or bands(*args))
+        targets = ["--target", "total", "--target", "total", "--target", "components", "--target", "components"]
+        result = runner.invoke(
+            main, ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)] + targets + self.ARGS
+        )
+        assert result.exit_code == 0, result.output
+        assert fits == [("total",), ("within_d1", "within_q3", "within_d9", "between")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["targets"] == ["total", "components"]
+        assert manifest["files"] == ["irf_total.csv", "irf_components.csv"]
+
+    @pytest.mark.parametrize(
+        "extra,sample,regressors",
+        [
+            # 40 quarters less max(p, q) = 4; const + p k lags + 5 shock columns
+            ([], 36, {"irf_total.csv": 7, "irf_components.csv": 10}),
+            (["--endo-lags", "5", "--exo-lags", "2", "--no-contemporaneous"], 35,
+             {"irf_total.csv": 8, "irf_components.csv": 23}),
+        ],
+    )
+    def test_manifest_records_each_fit_sample_and_regressors(self, runner, inputs, tmp_path, extra, sample, regressors):
+        wages, shocks = inputs
+        blobs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            result = runner.invoke(
+                main, ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)] + self.ARGS + extra
+            )
+            assert result.exit_code == 0, result.output
+            blobs.append((out / "manifest.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        manifest = json.loads(blobs[0])
+        assert manifest["effective_sample"] == {"irf_total.csv": sample, "irf_components.csv": sample}
+        assert manifest["regressors"] == regressors
+
     def test_same_seed_byte_identical(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         blobs = []

@@ -235,6 +235,57 @@ class TestDynamicMultipliers:
         assert mags[-1] < mags[peak] or np.isclose(mags[-1], 0.0, atol=1e-12)
 
 
+def per_lag_recurse(X, endo_coefs, drive, start):
+    """The recursion as p stacked products per step: the reference for _recurse."""
+    for i, t in enumerate(range(start, X.shape[-2])):
+        x = drive[..., i, :]
+        for j in range(1, endo_coefs.shape[-3] + 1):
+            x = x + (endo_coefs[..., j - 1, :, :] @ X[..., t - j, :, None])[..., 0]
+        X[..., t, :] = x
+    return X
+
+
+class TestRecurse:
+    """One window product per step against the per-lag loop."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_per_lag_loop(self, p, k, shared, transposed):
+        rng = np.random.default_rng(100 * p + 10 * k + shared)
+        n, T = 7, 40
+        shape = (p, k, k) if shared else (n, p, k, k)
+        B = rng.normal(0.0, 0.4 / (p * k), size=shape)
+        if transposed:  # the row-equation view _unpack hands out
+            B = np.ascontiguousarray(B.swapaxes(-1, -2)).swapaxes(-1, -2)
+        X0 = rng.normal(size=(n, p + T, k))
+        for in_place in (True, False):
+            got, want = X0.copy(), X0.copy()
+            drive = None if in_place else rng.normal(size=(n, T, k))
+            vx._recurse(got, B, got[:, p:] if in_place else drive, p)
+            per_lag_recurse(want, B, want[:, p:] if in_place else drive, p)
+            if p == 1:
+                assert np.array_equal(got, want)
+            else:  # p products summed in another order: float64 rounding only
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_one_unbatched_path(self, p):
+        # simulate_varx's case: no leading axes
+        rng = np.random.default_rng(8)
+        B = rng.normal(0.0, 0.2, size=(p, 2, 2))
+        X0 = rng.normal(size=(p + 30, 2))
+        got, want = X0.copy(), X0.copy()
+        drive = rng.normal(size=(30, 2))
+        vx._recurse(got, B, drive, p)
+        per_lag_recurse(want, B, drive, p)
+        if p == 1:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
 class TestConsistency:
     def test_error_shrinks_with_sample_size(self):
         B_true = np.array([[[0.6, 0.15], [0.1, 0.55]]])
@@ -496,7 +547,7 @@ class TestBatchedBootstrap:
 
 
 class TestChunksAndDraws:
-    """Chunk size and the cached resampled rows leave the bands unchanged."""
+    """Pass sizes and the cached resampled rows leave the bands unchanged."""
 
     @staticmethod
     def _cases():
@@ -505,6 +556,9 @@ class TestChunksAndDraws:
         yield vx.estimate(design), design, spec
         model, design = TestBatchedBootstrap._sparse_residual_model(nonzero_rows=4)
         yield model, design, vx.VarxSpec(bootstrap_reps=400, seed=2)
+        spec = vx.VarxSpec(bootstrap_reps=150, seed=6, endogenous_lags=2)  # p = 2, k = 5: the window product
+        design = vx.build_design(pipeline_data("control", 168), spec)
+        yield vx.estimate(design), design, spec
 
     @staticmethod
     def _count_calls(monkeypatch, module, name):
@@ -520,22 +574,47 @@ class TestChunksAndDraws:
 
     def test_bands_do_not_depend_on_chunk_size(self, monkeypatch):
         solves = self._count_calls(monkeypatch, vx, "_solve_lags")
+        recursions = self._count_calls(monkeypatch, vx, "_recurse")
+        dropped = []
         for model, design, spec in self._cases():
-            p, k, T_eff = design.spec.endogenous_lags, design.data.k, design.T_eff
-            # the path, V = [L | Y] and one V-sized temporary
-            reps, per_rep = spec.bootstrap_reps, 8 * ((p + T_eff) * k + 2 * T_eff * (p * k + k))
+            p, T_eff, reps = design.spec.endogenous_lags, design.T_eff, spec.bootstrap_reps
             results = []
-            for budget, passes in ((per_rep, reps), (per_rep * 7, -(-reps // 7)), (per_rep * reps, 1)):
-                monkeypatch.setattr(vx, "_CHUNK_BYTES", budget)
+            # (replications per regeneration pass, per refit), varied independently
+            for regen, refit in ((1, 1), (reps, 1), (7, 7), (7, 3), (reps, 11), (reps, reps), (13, 5)):
+                monkeypatch.setattr(vx, "_pass_sizes", lambda *args, sizes=(regen, refit): sizes)
                 vx._resample_rows.cache_clear()
                 solves.clear()
+                recursions.clear()
                 results.append(vx.bootstrap_bands(model, design, spec))
-                assert len(solves) == passes
+                passes = [min(regen, reps - first) for first in range(0, reps, regen)]
+                assert sum(X.shape[-2] == p + T_eff for X, *_ in recursions) == len(passes)
+                assert len(solves) == sum(-(-n // refit) for n in passes)
             for bands in results[1:]:
                 assert np.array_equal(bands.lower, results[0].lower)
                 assert np.array_equal(bands.upper, results[0].upper)
                 assert bands.dropped == results[0].dropped
-        assert results[0].dropped > 0
+            dropped.append(results[0].dropped)
+        assert dropped[1] > 0
+
+    @pytest.mark.parametrize(
+        "target,n_quarters,p,sizes",
+        [("total", 81, 1, (1680, 425)), ("components", 81, 1, (420, 106)), ("control", 168, 2, (157, 26))],
+    )
+    def test_pass_sizes_fill_half_the_budget_each(self, monkeypatch, target, n_quarters, p, sizes):
+        spec = vx.VarxSpec(endogenous_lags=p, bootstrap_reps=2000)
+        design = vx.build_design(pipeline_data(target, n_quarters), spec)
+        k, T_eff = design.data.k, design.T_eff
+        assert vx._pass_sizes(2000, p, k, T_eff) == sizes
+        path, V = 8 * (p + T_eff) * k, 8 * T_eff * (p * k + k)  # bytes per replication
+        for budget in (1, path + 2 * V, 10 * (path + 2 * V), vx._CHUNK_BYTES):
+            monkeypatch.setattr(vx, "_CHUNK_BYTES", budget)
+            regen, refit = vx._pass_sizes(2000, p, k, T_eff)
+            assert 1 <= refit <= regen
+            if regen > 1:
+                assert regen * path <= budget // 2 < (regen + 1) * path
+            if refit > 1:
+                assert 2 * refit * V <= budget // 2 < 2 * (refit + 1) * V
+        assert vx._pass_sizes(50, p, k, T_eff) == (50, min(50, sizes[1]))
 
     def test_rows_are_drawn_once_per_seed_reps_and_sample_length(self, monkeypatch):
         model, design, spec = next(self._cases())
