@@ -337,7 +337,8 @@ def _pass_sizes(reps: int, p: int, k: int, T_eff: int) -> tuple:
 
     Half of _CHUNK_BYTES holds a pass's regenerated paths (p + T_eff, k);
     the other half holds a refit's V = [L | Y] (T_eff, p k + k) and one
-    V-sized temporary (a projection, then the QR's copy of V).
+    V-sized temporary (a refit's gathered residuals, a projection, then the
+    QR's copy of V).
     """
     half = _CHUNK_BYTES // 2
     regen = min(reps, max(1, half // (8 * (p + T_eff) * k)))
@@ -507,11 +508,12 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     path = np.empty((regen, p + T_eff, k))
     path[:, :p] = design.data.X[design.offset - p : design.offset]  # pre-sample lags, never overwritten
     V = np.empty((refit, T_eff, lag_cols + k))
-    draws, dropped = [], 0
+    stack, kept, dropped = np.empty((reps, spec.horizon + 1, k)), 0, 0  # the kept replications' responses
     for first in range(0, reps, regen):
         rows = resampled[first : first + regen]
         X = path[: len(rows)]
-        X[:, p:] = model.residuals[rows]
+        for lo in range(0, len(rows), refit):  # a refit's rows at a time: the gathered copy is V's temporary
+            X[lo : lo + refit, p:] = model.residuals[rows[lo : lo + refit]]
         X[:, p:] += base
         _recurse(X, model.endo_coefs, X[:, p:], p)  # in place
         coefs = []
@@ -525,10 +527,11 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
             dropped += int(deficient.sum())
             coefs.append(np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1))
         _, endo, exog = _unpack(np.concatenate(coefs), dspec, k)
-        draws.append(_multipliers(endo, exog, spec.horizon, spec.shock_size))
+        stack[kept : kept + len(endo)] = _multipliers(endo, exog, spec.horizon, spec.shock_size)
+        kept += len(endo)
     if dropped > 0.05 * reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {reps} replications failed re-estimation")
-    stack = np.concatenate(draws)
+    stack = stack[:kept]
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd
