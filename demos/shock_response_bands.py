@@ -30,7 +30,7 @@ X = np.column_stack(
         standardize(series.between),
     ]
 )
-data = TimeSeriesData(joined.quarters, X, joined.shocks.values, ("total", "between"))
+data = TimeSeriesData(joined.panel.first, X, joined.shocks.values, ("total", "between"))
 
 # 1 endogenous lag, 4 shock lags plus the same-quarter term, 10-quarter
 # horizon, responses scaled to a 25 basis point cut.

@@ -61,16 +61,6 @@ def _apply_config(ctx, param, path):
     ctx.default_map = cfg
 
 
-def _series_matrix(series: pn.InequalitySeries) -> dict:
-    return {
-        "total": series.total,
-        "within_d1": series.within[:, 0],
-        "within_q3": series.within[:, 1],
-        "within_d9": series.within[:, 2],
-        "between": series.between,
-    }
-
-
 def run_decompose(wage_csv, out_dir) -> dict:
     """Decompose a wage CSV; write series.csv and return the summary block."""
     out_dir = Path(out_dir)
@@ -120,10 +110,10 @@ def run_irf(
     out_dir.mkdir(parents=True, exist_ok=True)
     aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
     series = pn.compute_series(aligned.panel)
-    columns = _series_matrix(series)
+    columns = {"total": series.total, **dict(zip(COMPONENT_NAMES[:3], series.within.T)), "between": series.between}
+    first, n_quarters = aligned.panel.first, aligned.panel.n_quarters
 
-    control_cols = {}
-    control_paths = {}
+    control_cols, control_paths = {}, {}
     for path in controls:
         name = Path(path).stem
         if name in columns:
@@ -132,23 +122,24 @@ def run_irf(
             raise pn.PanelError(f"control series {control_paths[name]} and {path} share the name {name!r}")
         control_paths[name] = path
         ctrl = pn.parse_shock_csv(path)
-        missing = sorted(set(aligned.quarters) - set(ctrl.quarters))
-        if missing:
-            raise pn.PanelError(
-                f"control series {path} does not cover quarter {missing[0]}"
-            )
-        control_cols[name] = ctrl.restrict(aligned.quarters).values
+        # the run's leading quarters that the control covers
+        covered = 0 if ctrl.first > first else min(max(ctrl.first + len(ctrl.values) - first, 0), n_quarters)
+        if covered < n_quarters:
+            raise pn.PanelError(f"control series {path} does not cover quarter {aligned.quarters[covered]}")
+        control_cols[name] = ctrl.restrict(first, n_quarters).values
 
-    def make_data(var_names):
+    def make_data(var_names, fname):
         X = np.column_stack([columns.get(n, control_cols.get(n)) for n in var_names])
-        data = vx.TimeSeriesData(aligned.quarters, X, aligned.shocks.values, tuple(var_names))
-        if start is not None or end is not None:
-            data = vx.subsample(
-                data, start or data.quarters[0], end or data.quarters[-1]
-            )
+        data = vx.subsample(vx.TimeSeriesData(first, X, aligned.shocks.values, tuple(var_names)), start, end)
         if standardize:
-            X = np.column_stack([pn.standardize(data.X[:, i]) for i in range(data.k)])
-            data = vx.TimeSeriesData(data.quarters, X, data.d, data.names)
+            X = data.X.copy()
+            for i, name in enumerate(data.names):
+                try:
+                    X[:, i] = pn.standardize(X[:, i])
+                except DomainError as exc:
+                    span = f"{data.quarters[0]}..{data.quarters[-1]}"
+                    raise DomainError(f"{exc} ({name!r} for {fname} over {span})") from None
+            data = vx.TimeSeriesData(data.first, X, data.d, data.names)
         return data
 
     targets = list(dict.fromkeys(targets))  # a repeated target is run once
@@ -171,11 +162,11 @@ def run_irf(
     sample = {}  # output file -> effective sample T_eff of the fit
     regressors = {}  # output file -> regressor count m of the fit
     for label, var_names in runs:
-        data = make_data(var_names)
+        fname = f"irf_{label}.csv"
+        data = make_data(var_names, fname)
         design = vx.build_design(data, spec)
         model = vx.estimate(design)
         irf = vx.bootstrap_bands(model, design, spec)
-        fname = f"irf_{label}.csv"
         vx.write_irf_csv(irf, out_dir / fname)
         dropped[fname] = irf.dropped
         sample[fname], regressors[fname] = design.T_eff, design.m

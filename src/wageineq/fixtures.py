@@ -11,7 +11,7 @@ shock series with occasional large movements.
 
 import numpy as np
 
-from .panel import CELLS, QuarterlyPanel, ShockSeries, format_quarter, parse_quarter
+from .panel import CELLS, PanelError, QuarterlyPanel, ShockSeries, _run_labels, parse_quarter
 from .varx import TimeSeriesData, simulate_varx
 
 __all__ = [
@@ -41,8 +41,7 @@ _RACE_END = {
 
 def make_quarters(start: str, n: int) -> tuple:
     """n consecutive quarter labels beginning at start."""
-    first = parse_quarter(start)
-    return tuple(format_quarter(first + t) for t in range(n))
+    return _run_labels(parse_quarter(start), n)
 
 
 def synthetic_wage_panel(
@@ -59,7 +58,6 @@ def synthetic_wage_panel(
     race. Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
-    quarters = make_quarters(start, n_quarters)
     wages = np.empty((n_quarters, 9))
     frac = np.linspace(0.0, 1.0, n_quarters)
     for c, (quantile, race) in enumerate(CELLS):
@@ -70,11 +68,11 @@ def synthetic_wage_panel(
         )
         level = base * (1.0 + annual) ** (np.arange(n_quarters) / 4.0)
         wages[:, c] = level * mult * np.exp(rng.normal(0.0, noise_sd, n_quarters))
-    return QuarterlyPanel(quarters, wages)
+    return QuarterlyPanel(parse_quarter(start), wages)
 
 
 def synthetic_shock_series(quarters, seed: int = 20000102) -> ShockSeries:
-    """Mean-zero AR(1) shock series with fat occasional movements."""
+    """Mean-zero AR(1) shock series with fat occasional movements over a contiguous run of quarter labels."""
     rng = np.random.default_rng(seed)
     n = len(quarters)
     values = np.empty(n)
@@ -85,7 +83,10 @@ def synthetic_shock_series(quarters, seed: int = 20000102) -> ShockSeries:
             innov += rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.45)
         prev = 0.3 * prev + innov
         values[t] = prev
-    return ShockSeries(tuple(quarters), values - values.mean())
+    shocks = ShockSeries(parse_quarter(quarters[0]), values - values.mean())
+    if shocks.quarters != tuple(quarters):
+        raise PanelError(f"quarters {quarters[0]}..{quarters[-1]} are not one contiguous run")
+    return shocks
 
 
 def graded_growth_panel(
@@ -100,7 +101,6 @@ def graded_growth_panel(
     """
     if rates is None:
         rates = {"D1": 1.0, "Q3": 3.0, "D9": 5.0}
-    quarters = make_quarters(start, n_quarters)
     wages = np.empty((n_quarters, 9))
     t = np.arange(n_quarters)
     for c, (quantile, race) in enumerate(CELLS):
@@ -108,13 +108,12 @@ def graded_growth_panel(
         r = ("Asian", "Black", "White").index(race)
         mult = _RACE_START[quantile][r]
         wages[:, c] = base * mult * (1.0 + rates[quantile] / 100.0) ** (t / 4.0)
-    return QuarterlyPanel(quarters, wages)
+    return QuarterlyPanel(parse_quarter(start), wages)
 
 
 def constant_panel(n_quarters: int = 8, start: str = "2000Q1", wage: float = 700.0) -> QuarterlyPanel:
     """Panel with every cell equal: zero inequality, zero growth."""
-    quarters = make_quarters(start, n_quarters)
-    return QuarterlyPanel(quarters, np.full((n_quarters, 9), wage))
+    return QuarterlyPanel(parse_quarter(start), np.full((n_quarters, 9), wage))
 
 
 def planted_effect_data(
@@ -141,4 +140,4 @@ def planted_effect_data(
     exog[0, 3] = effect
     exog[1, 3] = effect / 2.0
     X = simulate_varx(np.zeros(k), endo, exog, shocks.values, noise_sd, rng)
-    return TimeSeriesData(shocks.quarters, X, shocks.values, names)
+    return TimeSeriesData(shocks.first, X, shocks.values, names)

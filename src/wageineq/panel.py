@@ -98,18 +98,18 @@ def format_quarter(index: int) -> str:
 class QuarterlyPanel:
     """Validated wage panel: contiguous quarters, complete positive 3x3 grids.
 
-    ``wages`` has shape (T, 9) with columns in canonical CELLS order.
+    ``wages`` (T, 9), columns in canonical CELLS order, holds the T quarters
+    from the parse_quarter index ``first``; ``quarters`` are their labels.
     """
 
-    quarters: tuple  # of 'YYYYQn' labels, strictly increasing, contiguous
+    first: int
     wages: np.ndarray = field(repr=False)
+    quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.quarters:
-            raise PanelError("panel has no quarters")
-        _check_run(self.quarters)
-        if self.wages.shape != (self.n_quarters, 9):
-            raise PanelError(f"wage grid shape {self.wages.shape} does not match {self.n_quarters} quarters")
+        if self.wages.shape[1:] != (9,) or not len(self.wages):
+            raise PanelError(f"wage grid shape {self.wages.shape} is not (quarters, 9) with a quarter or more")
+        object.__setattr__(self, "quarters", _run_labels(self.first, len(self.wages)))
         if not np.all(np.isfinite(self.wages)) or np.any(self.wages <= 0):
             raise PanelError("panel wages must be positive and finite")
         # monotone D1 <= Q3 <= D9 per race
@@ -121,50 +121,53 @@ class QuarterlyPanel:
 
     @property
     def n_quarters(self) -> int:
-        return len(self.quarters)
+        return len(self.wages)
 
     def wage(self, quarter: str, race: str, quantile: str) -> float:
-        if quarter not in self.quarters:
-            raise PanelError(f"quarter {quarter!r} not in panel")
+        distribution, _ = build_distribution(self, quarter)
         if race not in RACES:
             raise PanelError(f"unknown race {race!r}")
         if quantile not in QUANTILES:
             raise PanelError(f"unknown quantile {quantile!r}")
-        return float(self.wages[self.quarters.index(quarter), CELLS.index((quantile, race))])
+        return float(distribution[CELLS.index((quantile, race))])
 
-    def restrict(self, quarters) -> "QuarterlyPanel":
-        """Contiguous sub-panel for the given contiguous quarter labels."""
-        quarters = tuple(quarters)
-        start = self.quarters.index(quarters[0]) if quarters else 0  # the constructor checks the run
-        return QuarterlyPanel(quarters, self.wages[start : start + len(quarters)])
+    def restrict(self, first: int, n: int) -> "QuarterlyPanel":
+        """Sub-panel of the n quarters from quarter index first."""
+        return QuarterlyPanel(first, self.wages[_run_slice(self, first, n)])
 
 
 @dataclass(frozen=True)
 class ShockSeries:
-    """Exogenous shock values, one per quarter (negative = accommodative)."""
+    """Exogenous shock values, one per quarter from index ``first`` (negative = accommodative)."""
 
-    quarters: tuple
+    first: int
     values: np.ndarray = field(repr=False)
+    quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_run(self.quarters)
-        if self.values.shape != (len(self.quarters),):
-            raise PanelError("shock values do not match quarters")
+        if self.values.ndim != 1:
+            raise PanelError(f"shock values of shape {self.values.shape} are not one per quarter")
+        object.__setattr__(self, "quarters", _run_labels(self.first, len(self.values)))
         if not np.all(np.isfinite(self.values)):
             raise PanelError("shock values must be finite")
 
-    def restrict(self, quarters) -> "ShockSeries":
-        quarters = tuple(quarters)
-        start = self.quarters.index(quarters[0]) if quarters else 0  # the constructor checks the run
-        return ShockSeries(quarters, self.values[start : start + len(quarters)])
+    def restrict(self, first: int, n: int) -> "ShockSeries":
+        return ShockSeries(first, self.values[_run_slice(self, first, n)])
 
 
-def _check_run(quarters) -> None:
-    """Reject quarter labels that are not consecutive and increasing."""
-    idx = [parse_quarter(q) for q in quarters]
-    for a, b, qa in zip(idx, idx[1:], quarters):
-        if b != a + 1:
-            raise PanelError(f"gap or disorder in quarters after {qa}")
+def _run_labels(first, n: int, error=PanelError) -> tuple:
+    """Labels of the n quarters from index first; rejects a run outside 0000Q1..9999Q4 (index 39999)."""
+    if not isinstance(first, (int, np.integer)) or not 0 <= first <= 40000 - n:
+        raise error(f"{n} quarters cannot start at quarter index {first!r}")
+    return tuple(map(format_quarter, range(first, first + n)))
+
+
+def _run_slice(run, first: int, n: int) -> slice:
+    """Rows of a panel or shock series holding the n quarters from index first."""
+    t = first - run.first
+    if t < 0 or n < 0 or t + n > len(run.quarters):
+        raise PanelError(f"{n} quarters from {format_quarter(first)} are not all in the run")
+    return slice(t, t + n)
 
 
 def _read_rows(source, header, error):
@@ -204,9 +207,7 @@ def _float(text) -> float:
 
 def _number(text, lineno, name) -> float:
     try:
-        if not text.isascii() or "_" in text:  # float() also takes '_' separators and non-ASCII digits
-            raise ValueError
-        value = float(text)
+        value = _float(text)
     except ValueError:
         raise PanelError(f"row {lineno}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):
@@ -229,8 +230,8 @@ def _cell(race, quantile, lineno) -> int:
     return CELLS.index((quantile, race))
 
 
-def _contiguous(qindices) -> np.ndarray:
-    """Sorted distinct quarter indices; rejects an empty set and gaps.
+def _contiguous(qindices) -> tuple:
+    """First index and count of a set of quarter indices; rejects an empty set and gaps.
 
     Marks the quarters present instead of sorting: parse_quarter bounds the
     span to 40,000 quarters, and a sort would page in more of numpy than
@@ -245,11 +246,11 @@ def _contiguous(qindices) -> np.ndarray:
         t = int(np.argmin(present))  # the first quarter missing; present[0] is True
         b = t + int(np.argmax(present[t:]))
         raise PanelError(f"gap in quarters between {format_quarter(first + t - 1)} and {format_quarter(first + b)}")
-    return np.arange(first, first + len(present))
+    return first, len(present)
 
 
 def _read_by_quarter(source, header):
-    """Quarter labels and (T, m) values of a CSV with one row per quarter."""
+    """First quarter index and (T, m) values of a CSV with one row per quarter."""
     rows = {}  # quarter index -> the row's values
     for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
         quarter = quarter.strip()
@@ -257,12 +258,12 @@ def _read_by_quarter(source, header):
         if qidx in rows:
             raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
         rows[qidx] = [_number(f.strip(), lineno, name) for f, name in zip(fields, header[1:])]
-    qindices = _contiguous(np.fromiter(rows, np.int64, len(rows))).tolist()
-    return tuple(map(format_quarter, qindices)), np.array([rows[q] for q in qindices])
+    first, n = _contiguous(np.fromiter(rows, np.int64, len(rows)))
+    return first, np.array([rows[q] for q in range(first, first + n)])
 
 
 def _read_cells(source, header, positive=False):
-    """Quarter labels and (T, 9) grid of a quarter,race,quantile,value CSV.
+    """First quarter index and (T, 9) grid of a quarter,race,quantile,value CSV.
 
     Rows may arrive in any order; every quarter needs all 9 cells once.
     """
@@ -285,15 +286,15 @@ def _read_cells(source, header, positive=False):
             raise PanelError(f"row {lineno}: duplicate cell ({quarter.strip()}, {race.strip()}, {quantile.strip()})")
         values[key] = value
     keys = np.fromiter(values, np.int64, len(values))
-    qindices = _contiguous(keys // 9)
-    grid = np.full((len(qindices), len(CELLS)), np.nan)  # values are finite, so NaN marks a missing cell
-    grid.flat[keys - 9 * qindices[0]] = np.fromiter(values.values(), float, len(values))
+    first, n = _contiguous(keys // 9)
+    grid = np.full((n, len(CELLS)), np.nan)  # values are finite, so NaN marks a missing cell
+    grid.flat[keys - 9 * first] = np.fromiter(values.values(), float, len(values))
     missing = np.flatnonzero(np.isnan(grid))
     if missing.size:
         t, c = divmod(int(missing[0]), len(CELLS))
         quantile, race = CELLS[c]
-        raise PanelError(f"missing {name} cell ({format_quarter(int(qindices[t]))}, {race}, {quantile})")
-    return tuple(map(format_quarter, qindices.tolist())), grid
+        raise PanelError(f"missing {name} cell ({format_quarter(first + t)}, {race}, {quantile})")
+    return first, grid
 
 
 def parse_wage_csv(source) -> QuarterlyPanel:
@@ -308,8 +309,8 @@ def parse_wage_csv(source) -> QuarterlyPanel:
 
 def parse_shock_csv(source) -> ShockSeries:
     """Parse a shock CSV (header: quarter,shock), one value per quarter."""
-    quarters, values = _read_by_quarter(source, _SHOCK_HEADER)
-    return ShockSeries(quarters, values[:, 0])
+    first, values = _read_by_quarter(source, _SHOCK_HEADER)
+    return ShockSeries(first, values[:, 0])
 
 
 @dataclass(frozen=True)
@@ -330,13 +331,11 @@ def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) ->
     The default lag structure needs slack beyond the lags themselves, so an
     intersection shorter than ``min_quarters`` is rejected.
     """
-    shock_quarters = set(shocks.quarters)
-    common = [q for q in panel.quarters if q in shock_quarters]  # one run: both inputs are contiguous
-    if len(common) < min_quarters:
-        raise PanelError(
-            f"panel and shock series share only {len(common)} quarters; need at least {min_quarters}"
-        )
-    return AlignedData(panel.restrict(common), shocks.restrict(common))
+    first = max(panel.first, shocks.first)
+    n = min(panel.first + panel.n_quarters, shocks.first + len(shocks.values)) - first
+    if n < min_quarters:
+        raise PanelError(f"panel and shock series share only {max(n, 0)} quarters; need at least {min_quarters}")
+    return AlignedData(panel.restrict(first, n), shocks.restrict(first, n))
 
 
 def build_distribution(panel: QuarterlyPanel, quarter: str):
@@ -345,9 +344,9 @@ def build_distribution(panel: QuarterlyPanel, quarter: str):
     Canonical order is quantile-major (D1, Q3, D9) with races alphabetical
     inside each group, so the partition groups are the three quantile points.
     """
-    if quarter not in panel.quarters:
-        raise PanelError(f"quarter {quarter} not in panel")
-    t = panel.quarters.index(quarter)
+    t = parse_quarter(quarter) - panel.first
+    if not 0 <= t < panel.n_quarters:
+        raise PanelError(f"quarter {quarter!r} not in panel")
     return panel.wages[t].copy(), _QUANTILE_PARTITION
 
 
@@ -509,10 +508,10 @@ def write_series_csv(series: InequalitySeries, path) -> None:
 
 def read_series_csv(source) -> InequalitySeries:
     """Read a decomposition series written by write_series_csv."""
-    quarters, vals = _read_by_quarter(source, SERIES_HEADER)
+    first, vals = _read_by_quarter(source, SERIES_HEADER)
     total = vals[:, 0]
     return InequalitySeries(
-        quarters=quarters,
+        quarters=_run_labels(first, len(vals)),
         total=total,
         within=vals[:, 1:4],
         between=vals[:, 4],
@@ -529,4 +528,5 @@ def write_growth_csv(series: GrowthSeries, path) -> None:
 
 def read_growth_csv(source) -> GrowthSeries:
     """Read a growth CSV written by write_growth_csv."""
-    return GrowthSeries(*_read_cells(source, _GROWTH_HEADER))
+    first, growth = _read_cells(source, _GROWTH_HEADER)
+    return GrowthSeries(_run_labels(first, len(growth)), growth)

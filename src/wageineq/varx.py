@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _float, _read_rows, _write_grid, parse_quarter
+from .panel import PanelError, _float, _read_rows, _run_labels, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -83,21 +83,23 @@ class VarxSpec:
 
 @dataclass(frozen=True)
 class TimeSeriesData:
-    """Aligned endogenous series X (T, k) and exogenous series d (T,)."""
+    """Endogenous series X (T, k) and exogenous series d (T,) over the T quarters from index ``first``."""
 
-    quarters: tuple
+    first: int
     X: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     names: tuple = ()
+    quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if X.shape[0] == 1 and len(self.quarters) > 1:
+        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
+        if X.shape[0] == 1 and self.d.size > 1:
             X = X.T
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        if self.X.shape[0] != len(self.quarters) or self.d.shape != (len(self.quarters),):
-            raise VarxError("quarters, X, and d lengths disagree")
+        if self.d.shape != (self.T,):
+            raise VarxError(f"X has {self.T} rows but d has shape {self.d.shape}")
+        object.__setattr__(self, "quarters", _run_labels(self.first, self.T, VarxError))
         if not self.names:
             object.__setattr__(self, "names", tuple(f"x{i}" for i in range(self.X.shape[1])))
         elif len(self.names) != self.X.shape[1]:
@@ -561,20 +563,25 @@ def _percentile(stack: np.ndarray, q: float) -> np.ndarray:
     return np.where(np.isnan(part[-1]), part[-1], result)
 
 
-def subsample(data: TimeSeriesData, start: str, end: str) -> TimeSeriesData:
-    """Contiguous restriction of the data to [start, end] by quarter label.
+def subsample(data: TimeSeriesData, start: str | None, end: str | None) -> TimeSeriesData:
+    """Contiguous restriction of the data to [start, end] by quarter label; None is the data's own end.
 
     Lag windows are recomputed inside the subsample by the subsequent
     build_design, so no observations leak across the boundary.
     """
-    lo, hi = parse_quarter(start), parse_quarter(end)
+    last = data.first + data.T - 1
+    try:
+        lo = data.first if start is None else parse_quarter(start)
+        hi = last if end is None else parse_quarter(end)
+    except PanelError as exc:
+        raise VarxError(str(exc)) from None
     if lo > hi:
-        raise VarxError(f"subsample start {start} is after end {end}")
-    keep = [t for t, quarter in enumerate(data.quarters) if lo <= parse_quarter(quarter) <= hi]
-    if not keep:
+        raise VarxError(f"subsample start {start or data.quarters[0]} is after end {end or data.quarters[-1]}")
+    lo, hi = max(lo, data.first), min(hi, last)
+    if lo > hi:
         raise VarxError(f"subsample [{start}, {end}] does not intersect the data")
-    sl = slice(keep[0], keep[-1] + 1)
-    return TimeSeriesData(data.quarters[sl], data.X[sl], data.d[sl], data.names)
+    rows = slice(lo - data.first, hi + 1 - data.first)
+    return TimeSeriesData(lo, data.X[rows], data.d[rows], data.names)
 
 
 def simulate_varx(

@@ -12,7 +12,7 @@ import pytest
 from wageineq import panel as pn
 from wageineq import varx as vx
 from wageineq.cli import run_demo
-from wageineq.fixtures import make_quarters, planted_effect_data
+from wageineq.fixtures import planted_effect_data
 from wageineq.theil import Partition, decompose, theil_index
 
 
@@ -121,7 +121,7 @@ class TestCriterion4EstimationRecovery:
             rng = np.random.default_rng(seed)
             d = rng.normal(size=5000)
             X = vx.simulate_varx(self.A0_TRUE, self.B_TRUE, self.C_TRUE, d, noise_sd=0.5, rng=rng)
-            data = vx.TimeSeriesData(make_quarters("0800Q1", 5000), X, d)
+            data = vx.TimeSeriesData(pn.parse_quarter("0800Q1"), X, d)
             model = vx.estimate(vx.build_design(data, spec))
             coef_errs.append(
                 np.mean(
@@ -158,7 +158,7 @@ class TestCriterion5BootstrapSanity:
         C[0, 0] = 1.0
         C[1, 0] = 0.4
         X = vx.simulate_varx([0.0], [[[0.6]]], C, d, noise_sd=noise_sd, rng=rng)
-        data = vx.TimeSeriesData(make_quarters("2000Q1", 81), X, d)
+        data = vx.TimeSeriesData(pn.parse_quarter("2000Q1"), X, d)
         design = vx.build_design(data, vx.VarxSpec())
         return vx.estimate(design), design
 

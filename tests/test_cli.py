@@ -14,13 +14,14 @@ from click.testing import CliRunner
 import wageineq
 from wageineq import panel as pn
 from wageineq import varx as vx
-from wageineq.cli import main, run_demo
+from wageineq.cli import main, run_demo, run_irf
 from wageineq.fixtures import (
     constant_panel,
     make_quarters,
     synthetic_shock_series,
     synthetic_wage_panel,
 )
+from wageineq.theil import DomainError
 
 
 @pytest.fixture()
@@ -90,7 +91,7 @@ class TestGrowth:
         """growth on a panel whose nine cells all take ``levels`` in turn."""
         wages, out = tmp_path / "wages.csv", tmp_path / "out"
         grid = np.repeat(np.array(levels, dtype=float)[:, None], 9, axis=1)
-        pn.write_wage_csv(pn.QuarterlyPanel(make_quarters("2000Q1", len(levels)), grid), wages)
+        pn.write_wage_csv(pn.QuarterlyPanel(pn.parse_quarter("2000Q1"), grid), wages)
         return runner.invoke(main, ["growth", "--wages", str(wages), "--out", str(out), "--method", method]), out
 
     def test_log_growth_beyond_the_ratio_range(self, runner, tmp_path):
@@ -250,7 +251,7 @@ class TestIrf:
         radius = json.loads((out / "manifest.json").read_text())["companion_spectral_radius"]["irf_total.csv"]
         aligned = pn.align(pn.parse_wage_csv(wages), pn.parse_shock_csv(shocks))
         series = pn.compute_series(aligned.panel)
-        data = vx.TimeSeriesData(aligned.quarters, pn.standardize(series.total), aligned.shocks.values, ("total",))
+        data = vx.TimeSeriesData(aligned.panel.first, pn.standardize(series.total), aligned.shocks.values, ("total",))
         spec = vx.VarxSpec(bootstrap_reps=100, seed=42)
         exact = vx.companion_spectral_radius(vx.estimate(vx.build_design(data, spec)))
         assert radius == float("%.10g" % exact)
@@ -259,11 +260,11 @@ class TestIrf:
     @staticmethod
     def run_spread_panel(runner, tmp_path, spread):
         """irf on a panel where races are equal and quantile points sit exp(spread) apart."""
-        quarters = make_quarters("2000Q1", len(spread))
         grid = 500.0 * np.exp(np.repeat(spread[:, None] * np.arange(3), 3, axis=1))
         wages, shocks, out = tmp_path / "wages.csv", tmp_path / "shocks.csv", tmp_path / "out"
-        pn.write_wage_csv(pn.QuarterlyPanel(quarters, grid), wages)
-        pn.write_shock_csv(synthetic_shock_series(quarters), shocks)
+        panel = pn.QuarterlyPanel(pn.parse_quarter("2000Q1"), grid)
+        pn.write_wage_csv(panel, wages)
+        pn.write_shock_csv(synthetic_shock_series(panel.quarters), shocks)
         args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)]
         result = runner.invoke(main, args + ["--reps", "100", "--target", "total"])
         assert result.exit_code == 0, result.output
@@ -556,6 +557,44 @@ class TestControlNames:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert sorted(manifest["controls"]) == ["employment", "indpro"]
 
+
+class TestControlCoverage:
+    """A control must cover the aligned run (here 2000Q1..2009Q4); the error names the first quarter it misses."""
+
+    @staticmethod
+    def run_with_control(runner, inputs, tmp_path, start, n):
+        wages, shocks = inputs
+        path = tmp_path / "indpro.csv"
+        pn.write_shock_csv(synthetic_shock_series(make_quarters(start, n), seed=3), path)
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "o"),
+                "--control", str(path)]
+        return runner.invoke(main, args + TestIrf.ARGS), path
+
+    def test_control_starting_a_quarter_late(self, runner, inputs, tmp_path):
+        result, path = self.run_with_control(runner, inputs, tmp_path, "2000Q2", 40)
+        assert result.exit_code == 1
+        assert result.output == f"Error: control series {path} does not cover quarter 2000Q1\n"
+
+    def test_control_ending_a_quarter_early(self, runner, inputs, tmp_path):
+        result, path = self.run_with_control(runner, inputs, tmp_path, "1999Q1", 43)
+        assert result.exit_code == 1
+        assert result.output == f"Error: control series {path} does not cover quarter 2009Q4\n"
+
+
+    def test_constant_control_names_variable_file_and_span(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        flat = tmp_path / "flat.csv"
+        pn.write_shock_csv(pn.ShockSeries(pn.parse_quarter("2000Q1"), np.full(40, 0.5)), flat)
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "o"),
+                "--control", str(flat)]
+        result = runner.invoke(main, args + TestIrf.ARGS)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "Error: cannot standardize a zero-variance series ('flat' for irf_total.csv over 2000Q1..2009Q4)\n"
+        )
+        with pytest.raises(DomainError, match="'flat' for irf_total.csv"):
+            run_irf(wages, shocks, tmp_path / "o", vx.VarxSpec(bootstrap_reps=100), controls=(flat,))
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

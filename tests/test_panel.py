@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wageineq import panel as pn
 from wageineq.fixtures import (
@@ -172,18 +174,97 @@ class TestAlign:
 
     def test_restrict_to_inner_run(self):
         panel = synthetic_wage_panel(12)
-        sub = panel.restrict(panel.quarters[3:7])
+        sub = panel.restrict(panel.first + 3, 4)
         assert sub.quarters == panel.quarters[3:7]
         assert np.array_equal(sub.wages, panel.wages[3:7])
         shocks = synthetic_shock_series(panel.quarters)
-        assert np.array_equal(shocks.restrict(panel.quarters[5:]).values, shocks.values[5:])
+        assert np.array_equal(shocks.restrict(panel.first + 5, 7).values, shocks.values[5:])
 
     def test_restrict_rejects_runs_it_cannot_hold(self):
         panel = synthetic_wage_panel(12)
-        with pytest.raises(pn.PanelError, match="does not match"):
-            panel.restrict(make_quarters(panel.quarters[10], 4))  # runs past the end
-        with pytest.raises(pn.PanelError, match="gap or disorder"):
-            panel.restrict([panel.quarters[0], panel.quarters[2]])
+        shocks = synthetic_shock_series(panel.quarters)
+        for run in (panel, shocks):
+            with pytest.raises(pn.PanelError, match="4 quarters from 2002Q3 are not all in the run"):
+                run.restrict(panel.first + 10, 4)  # runs past the end
+            with pytest.raises(pn.PanelError, match="2 quarters from 1999Q4 are not all in the run"):
+                run.restrict(panel.first - 1, 2)  # starts before the run
+            assert run.restrict(panel.first, 12).quarters == panel.quarters
+
+
+class TestFirstQuarterIndex:
+    """Panels and shock series hold their first quarter index; labels are derived from it."""
+
+    @staticmethod
+    def label_align(panel, shocks, min_quarters):
+        """align by intersecting quarter labels: the reference for the index arithmetic."""
+        shock_quarters = set(shocks.quarters)
+        common = [t for t, q in enumerate(panel.quarters) if q in shock_quarters]
+        if len(common) < min_quarters:
+            return f"panel and shock series share only {len(common)} quarters; need at least {min_quarters}"
+        offset = shocks.quarters.index(panel.quarters[common[0]])
+        return (
+            tuple(panel.quarters[t] for t in common),
+            panel.wages[common],
+            shocks.values[offset : offset + len(common)],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_panel=st.integers(1, 30),
+        n_shocks=st.integers(1, 30),
+        offset=st.integers(-35, 35),
+        min_quarters=st.sampled_from([1, 5, 20]),
+    )
+    def test_align_matches_label_intersection(self, n_panel, n_shocks, offset, min_quarters):
+        panel = synthetic_wage_panel(n_panel, "2000Q1")
+        shocks = pn.ShockSeries(panel.first + offset, np.arange(n_shocks, dtype=float))
+        want = self.label_align(panel, shocks, min_quarters)
+        if isinstance(want, str):
+            with pytest.raises(pn.PanelError, match=f"^{want}$"):
+                pn.align(panel, shocks, min_quarters)
+            return
+        joined = pn.align(panel, shocks, min_quarters)
+        assert joined.quarters == joined.shocks.quarters == want[0]
+        assert np.array_equal(joined.panel.wages, want[1])
+        assert np.array_equal(joined.shocks.values, want[2])
+
+    def test_run_past_9999q4(self):
+        last = pn.parse_quarter("9999Q4")
+        assert pn.QuarterlyPanel(last, np.full((1, 9), 700.0)).quarters == ("9999Q4",)
+        with pytest.raises(pn.PanelError, match="2 quarters cannot start at quarter index 39999"):
+            pn.QuarterlyPanel(last, np.full((2, 9), 700.0))
+        with pytest.raises(pn.PanelError, match="quarter index -1"):
+            pn.ShockSeries(-1, np.zeros(2))
+
+    @pytest.mark.parametrize("first", [2000.0, "2000Q1", None])
+    def test_first_must_be_an_integer(self, first):
+        with pytest.raises(pn.PanelError, match="cannot start at quarter index"):
+            pn.QuarterlyPanel(first, np.full((2, 9), 700.0))
+
+    @pytest.mark.parametrize("label", ["2005Q1", "2005q1", " 2005Q1", "2005Q1 "])
+    def test_row_lookup_takes_any_label_parse_quarter_takes(self, label):
+        panel = synthetic_wage_panel(24, "2000Q1")
+        dist, _ = pn.build_distribution(panel, label)
+        assert np.array_equal(dist, panel.wages[20])
+        assert panel.wage(label, "Black", "Q3") == panel.wages[20, pn.CELLS.index(("Q3", "Black"))]
+
+    def test_labels_are_canonical_whatever_the_start_label(self):
+        panel = synthetic_wage_panel(4, "2000q1")
+        assert panel.quarters == ("2000Q1", "2000Q2", "2000Q3", "2000Q4")
+        assert np.array_equal(pn.build_distribution(panel, "2000Q1")[0], panel.wages[0])
+
+    @pytest.mark.parametrize("label", ["1999Q4", "2006Q1"])
+    def test_row_lookup_outside_the_panel(self, label):
+        panel = synthetic_wage_panel(24, "2000Q1")
+        with pytest.raises(pn.PanelError, match=f"^quarter '{label}' not in panel$"):
+            pn.build_distribution(panel, label)
+
+    def test_quarters_is_derived(self):
+        panel = synthetic_wage_panel(4)
+        with pytest.raises(AttributeError):
+            panel.quarters = ("1990Q1",) * 4
+        with pytest.raises(TypeError):
+            pn.QuarterlyPanel(panel.first, panel.wages, quarters=panel.quarters)
 
 
 class TestQuarterLabelRows:
@@ -300,11 +381,10 @@ class TestGrowthRates:
         assert np.all(growth.growth == 0.0)
 
     def test_doubling_every_four_quarters(self):
-        quarters = make_quarters("2000Q1", 9)
         wages = np.outer(2.0 ** (np.arange(9) / 4.0), np.ones(9)) * [
             300, 300, 300, 700, 700, 700, 1400, 1400, 1400,
         ]
-        growth = pn.growth_rates(pn.QuarterlyPanel(quarters, wages))
+        growth = pn.growth_rates(pn.QuarterlyPanel(pn.parse_quarter("2000Q1"), wages))
         assert np.allclose(growth.growth, 100.0)
 
     def test_graded_growth_matches_generator(self):
@@ -324,7 +404,7 @@ class TestGrowthRates:
 
     def test_commutes_with_rescaling(self):
         panel = synthetic_wage_panel(12)
-        scaled = pn.QuarterlyPanel(panel.quarters, panel.wages * 3.5)
+        scaled = pn.QuarterlyPanel(panel.first, panel.wages * 3.5)
         a = pn.growth_rates(panel)
         b = pn.growth_rates(scaled)
         assert np.allclose(a.growth, b.growth, atol=1e-10)

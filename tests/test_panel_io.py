@@ -52,7 +52,7 @@ def scalar_read_by_quarter(source, header):
             raise pn.PanelError(f"row {lineno}: duplicate quarter {quarter}")
         rows[qidx] = [pn._number(f, lineno, name) for f, name in zip(fields, header[1:])]
     qindices = scalar_contiguous(rows)
-    return tuple(pn.format_quarter(i) for i in qindices), np.array([rows[i] for i in qindices])
+    return qindices[0], np.array([rows[i] for i in qindices])
 
 
 def scalar_read_cells(source, header, positive=False):
@@ -79,7 +79,7 @@ def scalar_read_cells(source, header, positive=False):
             if key not in cells:
                 raise pn.PanelError(f"missing {name} cell ({pn.format_quarter(qidx)}, {race}, {quantile})")
             grid[t, c] = cells[key]
-    return tuple(pn.format_quarter(i) for i in qindices), grid
+    return qindices[0], grid
 
 
 def scalar_write_rows(path, header, rows):
@@ -369,6 +369,37 @@ class TestPanelWage:
         quarter, race, quantile = args
         with pytest.raises(pn.PanelError, match=f"^{message}$"):
             panel.wage(quarter or panel.quarters[0], race, quantile)
+
+
+class TestFirstQuarterRoundTrip:
+    """A panel or shock series written and read back keeps its first quarter index, labels and values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_wage_csv(self, tmp_path_factory, data, T, seed):
+        first = data.draw(st.integers(0, 40000 - T))
+        # integer wages, sorted D1 <= Q3 <= D9 per race, are written exactly at %.10g
+        rng = np.random.default_rng(seed)
+        grid = np.sort(rng.integers(1, 10**9, size=(T, 3, 3)), axis=1).reshape(T, 9).astype(float)
+        panel = pn.QuarterlyPanel(first, grid)
+        path = tmp_path_factory.mktemp("wages") / "wages.csv"
+        pn.write_wage_csv(panel, path)
+        back = pn.parse_wage_csv(path)
+        assert back.first == first
+        assert back.quarters == tuple(pn.format_quarter(first + t) for t in range(T))
+        assert np.array_equal(back.wages, grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_shock_csv(self, tmp_path_factory, data, T, seed):
+        first = data.draw(st.integers(0, 40000 - T))
+        values = np.random.default_rng(seed).integers(-(10**9), 10**9, T) / 1000  # exact at %.10g
+        path = tmp_path_factory.mktemp("shocks") / "shocks.csv"
+        pn.write_shock_csv(pn.ShockSeries(first, values), path)
+        back = pn.parse_shock_csv(path)
+        assert back.first == first
+        assert back.quarters == tuple(pn.format_quarter(first + t) for t in range(T))
+        assert np.array_equal(back.values, values)
 
 
 class TestIrfReader:

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from wageineq import panel as pn
 from wageineq import varx as vx
-from wageineq.fixtures import make_quarters, synthetic_shock_series, synthetic_wage_panel
+from wageineq.fixtures import synthetic_shock_series, synthetic_wage_panel
 
 
 def make_data(X, d, names=(), start="1980Q1"):
-    T = np.atleast_2d(X).shape[0] if np.asarray(X).ndim == 2 else len(X)
-    return vx.TimeSeriesData(make_quarters(start, T), X, d, names)
+    return vx.TimeSeriesData(pn.parse_quarter(start), X, d, names)
 
 
 def univariate_model(b=0.5, c0=1.0, q=4, resid_len=40):
@@ -391,7 +390,7 @@ def scalar_bootstrap(model, design, spec):
             for j in range(1, q + 1):
                 x = x + model.exog_coefs[j] * data.d[t - j]
             Xb[t] = x
-        boot = vx.TimeSeriesData(data.quarters, Xb, data.d, data.names)
+        boot = vx.TimeSeriesData(data.first, Xb, data.d, data.names)
         try:
             draws.append(vx.dynamic_multipliers(vx.estimate(vx.build_design(boot, spec)), spec).point)
         except (vx.VarxError, np.linalg.LinAlgError):
@@ -431,7 +430,7 @@ def pipeline_data(target, n_quarters=81):
         cols.append(synthetic_shock_series(panel.quarters, seed=30000000).values)
         names += ("indpro",)
     X = np.column_stack([pn.standardize(c) for c in cols])
-    return vx.TimeSeriesData(panel.quarters, X, synthetic_shock_series(panel.quarters).values, names)
+    return vx.TimeSeriesData(panel.first, X, synthetic_shock_series(panel.quarters).values, names)
 
 
 class TestBatchedBootstrap:
@@ -528,7 +527,7 @@ class TestBatchedBootstrap:
         # an all-zero shock path leaves the fixed columns [const | shock lags] deficient
         model, design = self._sparse_residual_model(nonzero_rows=40)
         data = design.data
-        design = vx.build_design(vx.TimeSeriesData(data.quarters, data.X, np.zeros(data.T), data.names), design.spec)
+        design = vx.build_design(vx.TimeSeriesData(data.first, data.X, np.zeros(data.T), data.names), design.spec)
         spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
         with pytest.raises(vx.RankError):
             vx.estimate(design)
@@ -733,7 +732,7 @@ class TestSubsample:
         data = self._data()
         sub = vx.subsample(data, "2002Q1", "2010Q4")
         direct = vx.build_design(sub, vx.VarxSpec())
-        pre = vx.TimeSeriesData(sub.quarters, sub.X, sub.d, sub.names)
+        pre = vx.TimeSeriesData(sub.first, sub.X, sub.d, sub.names)
         again = vx.build_design(pre, vx.VarxSpec())
         assert np.array_equal(direct.Z, again.Z)
         assert np.array_equal(direct.Y, again.Y)
@@ -745,6 +744,59 @@ class TestSubsample:
         post = vx.subsample(data, "2009Q1", "2020Q1")
         assert vx.build_design(pre, spec).T_eff == pre.T - 4
         assert vx.build_design(post, spec).T_eff == post.T - 4
+
+
+class TestFirstQuarterIndex:
+    """TimeSeriesData holds its first quarter index; subsample is index arithmetic."""
+
+    @pytest.mark.parametrize("first", [-1, 40000 - 3, 8000.0, "2000Q1"])
+    def test_rejects_a_first_index_out_of_range_or_not_an_integer(self, first):
+        with pytest.raises(vx.VarxError, match="cannot start at quarter index"):
+            vx.TimeSeriesData(first, np.zeros((4, 2)), np.zeros(4))
+
+    def test_last_quarter_index_is_accepted(self):
+        assert vx.TimeSeriesData(40000 - 4, np.zeros((4, 2)), np.zeros(4)).quarters[-1] == "9999Q4"
+
+    @pytest.mark.parametrize("X, d", [(np.zeros((4, 2)), np.zeros(5)), (np.zeros((4, 2)), np.zeros((4, 1)))])
+    def test_rejects_x_and_d_that_disagree(self, X, d):
+        with pytest.raises(vx.VarxError, match="rows but d has shape"):
+            vx.TimeSeriesData(8000, X, d)
+
+    @pytest.mark.parametrize("start, end", [("BADQ3", "2005Q1"), ("2000Q1", "2005Q5"), ("2000Q1", "")])
+    def test_subsample_junk_label_is_a_varx_error(self, start, end):
+        data = make_data(np.zeros((8, 1)), np.arange(8.0), start="2000Q1")
+        with pytest.raises(vx.VarxError, match="quarter"):
+            vx.subsample(data, start, end)
+
+    @staticmethod
+    def label_subsample(data, start, end):
+        """subsample by filtering quarter labels: the reference for the index arithmetic."""
+        lo = pn.parse_quarter(data.quarters[0] if start is None else start)
+        hi = pn.parse_quarter(data.quarters[-1] if end is None else end)
+        if lo > hi:
+            return "after"
+        return [t for t, q in enumerate(data.quarters) if lo <= pn.parse_quarter(q) <= hi] or "intersect"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T=st.integers(1, 30),
+        lo=st.one_of(st.none(), st.integers(-35, 35)),
+        hi=st.one_of(st.none(), st.integers(-35, 35)),
+    )
+    def test_subsample_matches_label_filter(self, T, lo, hi):
+        rng = np.random.default_rng(T)
+        data = make_data(rng.normal(size=(T, 2)), rng.normal(size=T), start="2000Q1")
+        start = None if lo is None else pn.format_quarter(data.first + lo)
+        end = None if hi is None else pn.format_quarter(data.first + hi)
+        want = self.label_subsample(data, start, end)
+        if isinstance(want, str):
+            with pytest.raises(vx.VarxError, match=want):
+                vx.subsample(data, start, end)
+            return
+        sub = vx.subsample(data, start, end)
+        assert sub.quarters == tuple(data.quarters[t] for t in want)
+        assert np.array_equal(sub.X, data.X[want]) and np.array_equal(sub.d, data.d[want])
+        assert sub.names == data.names
 
 
 class TestIrfCsv:
