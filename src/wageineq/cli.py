@@ -143,35 +143,30 @@ def run_irf(
         return data
 
     targets = list(dict.fromkeys(targets))  # a repeated target is run once
-    runs = []
-    ctrl_names = list(control_cols)
+    systems = {}  # output file -> the inequality series its fit takes as endogenous
     for target in targets:
         if target == "total":
-            runs.append(("total", ["total"] + ctrl_names))
-        elif target == "components":
-            if per_component:
-                for name in COMPONENT_NAMES:
-                    runs.append((name, [name] + ctrl_names))
-            else:
-                runs.append(("components", list(COMPONENT_NAMES) + ctrl_names))
-        else:
+            systems["irf_total.csv"] = ["total"]
+        elif target != "components":
             raise click.ClickException(f"unknown target {target!r}")
+        elif per_component:
+            systems.update((f"irf_{name}.csv", [name]) for name in COMPONENT_NAMES)
+        else:
+            systems["irf_components.csv"] = list(COMPONENT_NAMES)
 
-    dropped = {}  # output file -> bootstrap replications dropped
-    radius = {}  # output file -> companion spectral radius of the point fit
-    sample = {}  # output file -> effective sample T_eff of the fit
-    regressors = {}  # output file -> regressor count m of the fit
-    for label, var_names in runs:
-        fname = f"irf_{label}.csv"
-        data = make_data(var_names, fname)
-        design = vx.build_design(data, spec)
+    records = {}
+    for fname, var_names in systems.items():
+        design = vx.build_design(make_data(var_names + list(control_cols), fname), spec)
         model = vx.estimate(design)
         irf = vx.bootstrap_bands(model, design, spec)
         vx.write_irf_csv(irf, out_dir / fname)
-        dropped[fname] = irf.dropped
-        sample[fname], regressors[fname] = design.T_eff, design.m
-        # at the CSVs' precision, so a last-ulp change in the fit leaves the manifest's bytes alone
-        radius[fname] = float(pn._NUMBER % vx.companion_spectral_radius(model))
+        records[fname] = {
+            "bootstrap_dropped": irf.dropped,
+            # at the CSVs' precision, so a last-ulp change in the fit leaves the manifest's bytes alone
+            "companion_spectral_radius": float(pn._NUMBER % vx.companion_spectral_radius(model)),
+            "effective_sample": design.T_eff,
+            "regressors": design.m,
+        }
 
     manifest = {
         "wage_csv": {"path": str(wage_csv), "sha256": _sha256(wage_csv)},
@@ -185,16 +180,25 @@ def run_irf(
         "start": start,
         "end": end,
         "spec": dataclasses.asdict(spec),
-        "files": list(dropped),
-        "bootstrap_dropped": dropped,
-        "companion_spectral_radius": radius,
-        "effective_sample": sample,
-        "regressors": regressors,
+        "files": list(records),
     }
+    for key in next(iter(records.values()), {}):  # one map per fact, from output file to value
+        manifest[key] = {fname: record[key] for fname, record in records.items()}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+
+
+def _warn_about_fits(manifest) -> None:
+    """Name on stderr each explosive fit and each fit whose bootstrap dropped replications."""
+    explosive = [f for f, r in manifest["companion_spectral_radius"].items() if r >= 1.0]
+    if explosive:
+        click.echo(f"warning: companion spectral radius >= 1 (explosive fit) for {', '.join(explosive)}", err=True)
+    reps = manifest["spec"]["bootstrap_reps"]
+    dropped = [f"{f} ({n} of {reps})" for f, n in manifest["bootstrap_dropped"].items() if n > 0]
+    if dropped:
+        click.echo(f"warning: bootstrap replications dropped as rank deficient for {', '.join(dropped)}", err=True)
 
 
 @click.group()
@@ -283,12 +287,7 @@ def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_con
         )
     except (pn.PanelError, vx.VarxError, DomainError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
-    explosive = [f for f, r in manifest["companion_spectral_radius"].items() if r >= 1.0]
-    if explosive:
-        click.echo(f"warning: companion spectral radius >= 1 (explosive fit) for {', '.join(explosive)}", err=True)
-    dropped = [f"{f} ({n} of {reps})" for f, n in manifest["bootstrap_dropped"].items() if n > 0]
-    if dropped:
-        click.echo(f"warning: bootstrap replications dropped as rank deficient for {', '.join(dropped)}", err=True)
+    _warn_about_fits(manifest)
     for fname in manifest["files"]:
         click.echo(f"wrote {Path(out) / fname}")
     click.echo(f"wrote {Path(out) / 'manifest.json'}")
@@ -361,6 +360,7 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
     def irf_stage():
         spec = vx.VarxSpec(bootstrap_reps=reps, seed=seed)
         manifest = run_irf(wage_path, shock_path, out_dir, spec)
+        _warn_about_fits(manifest)
         for fname in manifest["files"]:
             irf = vx.read_irf_csv(out_dir / fname)
             assert np.all(irf.lower <= irf.point + 1e-12), f"band ordering in {fname}"

@@ -107,6 +107,7 @@ class QuarterlyPanel:
     quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "wages", _numeric(self.wages, "panel wages"))
         if self.wages.shape[1:] != (9,) or not len(self.wages):
             raise PanelError(f"wage grid shape {self.wages.shape} is not (quarters, 9) with a quarter or more")
         object.__setattr__(self, "quarters", _run_labels(self.first, len(self.wages)))
@@ -145,6 +146,7 @@ class ShockSeries:
     quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "values", _numeric(self.values, "shock values"))
         if self.values.ndim != 1:
             raise PanelError(f"shock values of shape {self.values.shape} are not one per quarter")
         object.__setattr__(self, "quarters", _run_labels(self.first, len(self.values)))
@@ -153,6 +155,13 @@ class ShockSeries:
 
     def restrict(self, first: int, n: int) -> "ShockSeries":
         return ShockSeries(first, self.values[_run_slice(self, first, n)])
+
+
+def _numeric(values, what) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)  # a float64 array is not copied
+    except (TypeError, ValueError) as exc:
+        raise PanelError(f"{what} must be numeric: {exc}") from None
 
 
 def _run_labels(first, n: int, error=PanelError) -> tuple:

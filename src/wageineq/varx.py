@@ -71,12 +71,14 @@ class VarxSpec:
     def __post_init__(self):
         for name, least in (("endogenous_lags", 1), ("exogenous_lags", 0), ("horizon", 1), ("bootstrap_reps", 100)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
+            if not np.issubdtype(type(value), np.integer) or value < least:  # an int or numpy integer, not a bool
                 raise VarxError(f"{name} must be an integer >= {least}, not {value!r}")
-        if not (isinstance(self.shock_size, (int, float, np.integer, np.floating)) and math.isfinite(self.shock_size)):
+        if not (np.dtype(type(self.shock_size)).kind in "iuf" and math.isfinite(self.shock_size)):  # not a bool
             raise VarxError(f"shock_size must be a finite number, not {self.shock_size!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not np.issubdtype(type(self.seed), np.integer) or self.seed < 0:
             raise VarxError(f"seed must be a non-negative integer, not {self.seed!r}")
+        if not isinstance(self.contemporaneous_shock, (bool, np.bool_)):
+            raise VarxError(f"contemporaneous_shock must be a bool, not {self.contemporaneous_shock!r}")
         if self.band_method not in ("sd", "percentile"):
             raise VarxError(f"unknown band_method {self.band_method!r}")
 
@@ -202,22 +204,6 @@ class VarxModel:
         return len(self.names)
 
 
-def _solve_full_rank(ZY: np.ndarray, m: int):
-    """QR least squares of stacked responses on designs, given as [Z | Y] (n, T, m + k).
-
-    Only R is formed: R[:m, :m] is the design's R factor and R[:m, m:] is
-    Q^T Y. Returns the (n, m) mask of R diagonals below eps * largest column
-    norm * T (the column norms of R[:m, :m] are those of Z), and the
-    coefficients (n_ok, m, k) and R factors of the full-rank fits.
-    """
-    R = np.linalg.qr(ZY, mode="r")
-    Rz = R[:, :m, :m]
-    tol = np.finfo(float).eps * np.linalg.norm(Rz, axis=1).max(axis=1) * ZY.shape[1]
-    deficient = np.abs(np.diagonal(Rz, axis1=1, axis2=2)) < tol[:, None]
-    ok = ~deficient.any(axis=1)
-    return deficient, np.linalg.solve(Rz[ok], R[ok, :m, m:]), Rz[ok]
-
-
 def _unpack(coefs: np.ndarray, spec: VarxSpec, k: int):
     """Split (..., m, k) coefficients into the intercept, the (..., p, k, k)
     autoregressive matrices in row-equation form and the (..., q+1, k)
@@ -234,10 +220,10 @@ def _unpack(coefs: np.ndarray, spec: VarxSpec, k: int):
 def estimate(design: Design) -> VarxModel:
     """Least-squares fit of every equation on the shared regressor matrix.
 
-    Solves through a QR factorization rather than the normal equations;
-    near-collinear inequality series make the design ill-conditioned. Rank
-    deficiency is detected from the R diagonal and reported with the first
-    dependent column.
+    Solves through the R-only QR of [Z | Y] rather than the normal equations;
+    near-collinear inequality series make the design ill-conditioned. A
+    diagonal of Z's R factor below eps * Z's largest column norm * T_eff
+    marks the design rank deficient, reported at the first such column.
     """
     Z, Y = design.Z, design.Y
     T_eff, m = Z.shape
@@ -246,11 +232,12 @@ def estimate(design: Design) -> VarxModel:
             f"effective sample of {T_eff} rows is below the floor of {m + 10} "
             f"for {m} regressors"
         )
-    deficient, coefs, R = _solve_full_rank(np.concatenate((Z, Y), axis=1)[None], m)
+    R = np.linalg.qr(np.concatenate((Z, Y), axis=1), mode="r")
+    R, QtY = R[:m, :m], R[:m, m:]  # Z's R factor, whose column norms are Z's, and Q^T Y
+    deficient = np.abs(np.diag(R)) < np.finfo(float).eps * np.linalg.norm(R, axis=0).max() * T_eff
     if deficient.any():
-        bad = int(np.argmax(deficient[0]))
-        raise RankError(f"design matrix is rank deficient at column {design.columns[bad]!r}")
-    coefs, R = coefs[0], R[0]  # (m, k), (m, m)
+        raise RankError(f"design matrix is rank deficient at column {design.columns[np.argmax(deficient)]!r}")
+    coefs = np.linalg.solve(R, QtY)
     resid = Y - Z @ coefs
     sigma = resid.T @ resid / (T_eff - m)
     ztz_inv_diag = np.sum(np.linalg.inv(R) ** 2, axis=1)
@@ -643,6 +630,9 @@ def read_irf_csv(source) -> ImpulseResponse:
             vals = tuple(_float(v.strip()) for v in val_texts)
         except ValueError:
             raise VarxError(f"row {lineno}: non-numeric value") from None
+        for column, text, value in zip(_IRF_HEADER[2:], val_texts, vals):
+            if not math.isfinite(value):
+                raise VarxError(f"row {lineno}: {column} must be finite, got {text.strip()}")
         if key[0] < 0:
             raise VarxError(f"row {lineno}: negative horizon {h_text}")
         if key in entries:

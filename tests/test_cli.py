@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import wageineq
 from wageineq import panel as pn
 from wageineq import varx as vx
-from wageineq.cli import main, run_demo, run_irf
+from wageineq.cli import COMPONENT_NAMES, main, run_demo, run_irf
 from wageineq.fixtures import (
     constant_panel,
     make_quarters,
@@ -307,10 +307,16 @@ class TestIrf:
             ([], 36, {"irf_total.csv": 7, "irf_components.csv": 10}),
             (["--endo-lags", "5", "--exo-lags", "2", "--no-contemporaneous"], 35,
              {"irf_total.csv": 8, "irf_components.csv": 23}),
+            # one system per series, each with the control: const + 2 lags + 5 shock columns
+            (["--per-component", "--control", "indpro.csv"], 36,
+             dict.fromkeys(["irf_total.csv"] + [f"irf_{name}.csv" for name in COMPONENT_NAMES], 8)),
         ],
     )
     def test_manifest_records_each_fit_sample_and_regressors(self, runner, inputs, tmp_path, extra, sample, regressors):
         wages, shocks = inputs
+        control = tmp_path / "indpro.csv"
+        pn.write_shock_csv(synthetic_shock_series(pn.parse_wage_csv(wages).quarters, seed=7), control)
+        extra = [str(control) if arg == control.name else arg for arg in extra]
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -321,7 +327,10 @@ class TestIrf:
             blobs.append((out / "manifest.json").read_bytes())
         assert blobs[0] == blobs[1]
         manifest = json.loads(blobs[0])
-        assert manifest["effective_sample"] == {"irf_total.csv": sample, "irf_components.csv": sample}
+        assert manifest["files"] == list(regressors)
+        for key in ("bootstrap_dropped", "companion_spectral_radius", "effective_sample", "regressors"):
+            assert sorted(manifest[key]) == sorted(manifest["files"])  # the file is written with sorted keys
+        assert manifest["effective_sample"] == dict.fromkeys(manifest["files"], sample)
         assert manifest["regressors"] == regressors
 
     def test_same_seed_byte_identical(self, runner, inputs, tmp_path):
@@ -448,6 +457,10 @@ class TestDemo:
         result = runner.invoke(main, ["demo", "--out", str(tmp_path / "d"), "--reps", "100"])
         assert result.exit_code == 0, result.output
         assert result.output.count("PASS") == 4
+        # the bundled fixture fits explosively, and demo says so as irf does
+        assert result.stdout.count("PASS") == 4 and "warning" not in result.stdout
+        explosive = "warning: companion spectral radius >= 1 (explosive fit) for irf_total.csv, irf_components.csv\n"
+        assert result.stderr == explosive
 
 
 def assert_clean_failure(result, *fragments):

@@ -259,6 +259,20 @@ class TestFirstQuarterIndex:
         with pytest.raises(pn.PanelError, match=f"^quarter '{label}' not in panel$"):
             pn.build_distribution(panel, label)
 
+    def test_sequences_are_taken_as_float_arrays(self):
+        shocks = pn.ShockSeries(pn.parse_quarter("2000Q1"), [0.1, 0.2])
+        assert shocks.values.dtype == float and shocks.values.tolist() == [0.1, 0.2]
+        panel = pn.QuarterlyPanel(0, [[1.0] * 9] * 3)
+        assert panel.wages.dtype == float and panel.wages.shape == (3, 9)
+        wages = np.full((2, 9), 700.0)
+        assert pn.QuarterlyPanel(0, wages).wages is wages  # no copy
+
+    def test_non_numeric_input(self):
+        with pytest.raises(pn.PanelError, match="^panel wages must be numeric: could not convert string to float"):
+            pn.QuarterlyPanel(0, np.full((2, 9), "x"))
+        with pytest.raises(pn.PanelError, match="^shock values must be numeric: float\\(\\) argument"):
+            pn.ShockSeries(0, [{}, {}])
+
     def test_quarters_is_derived(self):
         panel = synthetic_wage_panel(4)
         with pytest.raises(AttributeError):

@@ -425,6 +425,16 @@ class TestIrfReader:
         with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
             vx.read_irf_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    def test_values_must_be_finite(self, value, column):
+        fields = ["1", "total", "1", "0", "2"]
+        fields[column] = value
+        text = self.HEADER + "0,total,1,0,2\n" + ",".join(fields) + "\n"
+        name = ("point", "lower", "upper")[column - 2]
+        with pytest.raises(vx.VarxError, match=f"^row 3: {name} must be finite, got {value}$"):
+            vx.read_irf_csv(io.StringIO(text))
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_csv_error_names_its_row(self, line):
         lines = [self.HEADER, "0,total,1,0,2\n", "1,total,1,0,2\n"]

@@ -61,12 +61,27 @@ class TestSpec:
             {"shock_size": float("inf")},
             {"shock_size": -float("inf")},
             {"shock_size": "0.25"},
+            {"endogenous_lags": True},
+            {"exogenous_lags": False},
+            {"horizon": True},
+            {"seed": True},
+            {"shock_size": True},
+            {"contemporaneous_shock": "no"},
+            {"contemporaneous_shock": 1},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(vx.VarxError) as exc:
             vx.VarxSpec(**kwargs)
         assert next(iter(kwargs)) in str(exc.value)
+
+    def test_bool_is_no_integer(self):
+        with pytest.raises(vx.VarxError, match="^endogenous_lags must be an integer >= 1, not True$"):
+            vx.VarxSpec(endogenous_lags=True)
+
+    def test_numpy_scalars_accepted(self):
+        spec = vx.VarxSpec(endogenous_lags=np.int64(2), contemporaneous_shock=np.False_, shock_size=np.float32(0.5))
+        assert spec.endogenous_lags == 2 and not spec.contemporaneous_shock and spec.shock_size == 0.5
 
     def test_seed_beyond_64_bits(self):
         spec = vx.VarxSpec(bootstrap_reps=100, seed=2**64 + 5)
@@ -147,10 +162,15 @@ class TestEstimate:
         # a last column orthogonal to the others, so its R diagonal is its norm;
         # R's largest row norm is about twice the largest column norm here
         Z[:, -1] = scale * tol * np.linalg.qr(Z[:, :-1], mode="complete")[0][:, -1]
-        ZY = np.column_stack([Z, rng.normal(size=(T, 2))])[None]
-        mask, coefs, _ = vx._solve_full_rank(ZY, Z.shape[1])
-        assert mask[0].tolist() == [False] * 4 + [deficient]
-        assert len(coefs) == (0 if deficient else 1)
+        Y = rng.normal(size=(T, 2))
+        spec = vx.VarxSpec(exogenous_lags=1)
+        columns = ("const", "x0.lag1", "x1.lag1", "shock.lag0", "shock.lag1")
+        design = vx.Design(make_data(Y, np.zeros(T)), spec, Z, Y, columns, offset=1)
+        if deficient:
+            with pytest.raises(vx.RankError, match="^design matrix is rank deficient at column 'shock.lag1'$"):
+                vx.estimate(design)
+        else:
+            assert vx.estimate(design).exog_coefs.shape == (2, 2)
 
     def test_fitted_plus_residual_reproduces_response(self):
         rng = np.random.default_rng(4)
