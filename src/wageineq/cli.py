@@ -12,12 +12,16 @@ config values. Every irf run writes a manifest sufficient to
 reproduce it: all settings, the seed, and input file digests.
 """
 
+import gc
 import os
 
 # One BLAS thread: no matrix here is large enough for OpenBLAS to split, and
 # starting its worker thread costs more than a command's linear algebra. This
 # must run before numpy loads; a value the caller set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+if __name__ == "__main__":
+    gc.disable()  # before numpy and click load; see entry()
 
 import dataclasses
 import json
@@ -52,12 +56,16 @@ def _apply_config(ctx, param, path):
         raise click.BadParameter(f"{path} is not a readable JSON file: {exc}", ctx, param) from None
     if not isinstance(cfg, dict):
         raise click.BadParameter(f"{path} must hold a JSON object", ctx, param)
-    keys = sorted(p.name for p in ctx.command.params if p is not param)
-    for key in cfg:
-        if key not in keys:
+    types = {p.name: p.type for p in ctx.command.params if p is not param}
+    for key, value in cfg.items():
+        if key not in types:
             raise click.BadParameter(
-                f"{path} has unknown key {key!r}; expected one of {', '.join(keys)}", ctx, param
+                f"{path} has unknown key {key!r}; expected one of {', '.join(sorted(types))}", ctx, param
             )
+        number = {click.INT: "an integer", click.FLOAT: "a number"}.get(types[key])
+        # click would truncate 100.7 to 100 and read true as 1
+        if number and (isinstance(value, bool) or (isinstance(value, float) and types[key] is click.INT)):
+            raise click.BadParameter(f"{path} has key {key!r} set to {json.dumps(value)}; expected {number}", ctx, param)
     ctx.default_map = cfg
 
 
@@ -184,9 +192,8 @@ def run_irf(
     }
     for key in next(iter(records.values()), {}):  # one map per fact, from output file to value
         manifest[key] = {fname: record[key] for fname, record in records.items()}
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # rendered before the file is opened, so a value JSON cannot hold leaves no partial manifest
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -393,5 +400,13 @@ def demo(out, reps, seed):
     sys.exit(1 if failed else 0)
 
 
-if __name__ == "__main__":
+def entry():
+    """Run the command line as a program: a run makes few reference cycles, so the cyclic collector
+    stays off, and the imports' objects are frozen so that interpreter exit does not walk them."""
+    gc.disable()
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    entry()

@@ -14,7 +14,7 @@ bootstrap that keeps the exogenous path fixed at its observed values.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,15 +69,18 @@ class VarxSpec:
     band_method: str = "sd"  # "sd" (+/- 1 bootstrap SD) or "percentile"
 
     def __post_init__(self):
+        for f in fields(self):  # a numpy scalar becomes its Python value, which the manifest's JSON can hold
+            if isinstance(getattr(self, f.name), np.generic):
+                object.__setattr__(self, f.name, getattr(self, f.name).item())
         for name, least in (("endogenous_lags", 1), ("exogenous_lags", 0), ("horizon", 1), ("bootstrap_reps", 100)):
             value = getattr(self, name)
-            if not np.issubdtype(type(value), np.integer) or value < least:  # an int or numpy integer, not a bool
+            if not np.issubdtype(type(value), np.integer) or value < least:  # an int, not a bool
                 raise VarxError(f"{name} must be an integer >= {least}, not {value!r}")
         if not (np.dtype(type(self.shock_size)).kind in "iuf" and math.isfinite(self.shock_size)):  # not a bool
             raise VarxError(f"shock_size must be a finite number, not {self.shock_size!r}")
         if not np.issubdtype(type(self.seed), np.integer) or self.seed < 0:
             raise VarxError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if not isinstance(self.contemporaneous_shock, (bool, np.bool_)):
+        if not isinstance(self.contemporaneous_shock, bool):
             raise VarxError(f"contemporaneous_shock must be a bool, not {self.contemporaneous_shock!r}")
         if self.band_method not in ("sd", "percentile"):
             raise VarxError(f"unknown band_method {self.band_method!r}")
@@ -525,29 +528,9 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd
     else:
-        lower = np.minimum(_percentile(stack, 15.87), point)
-        upper = np.maximum(_percentile(stack, 84.13), point)
+        lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
+        upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
     return ImpulseResponse(model.names, point, lower, upper, dropped)
-
-
-def _percentile(stack: np.ndarray, q: float) -> np.ndarray:
-    """np.percentile(stack, q, axis=0), bit for bit, without importing numpy.ma.
-
-    Follows numpy's linear method: partition at the same order statistics
-    (ties such as -0.0 and 0.0 land where numpy puts them), interpolate
-    between the two around (n - 1) * q / 100, from the upper one when the
-    weight is >= 0.5, and give the partitioned last row where a column
-    holds a NaN.
-    """
-    n = stack.shape[0]
-    virtual = (n - 1) * (q / 100)
-    below = int(virtual) if virtual < n - 1 else -1  # numpy's index -1 past the last row
-    above = below + 1 if below >= 0 else -1
-    part = np.partition(stack, sorted({0, -1, below, above}), axis=0)
-    a, b, t = part[below], part[above], virtual - below
-    diff = b - a
-    result = b - diff * (1 - t) if t >= 0.5 else a + diff * t
-    return np.where(np.isnan(part[-1]), part[-1], result)
 
 
 def subsample(data: TimeSeriesData, start: str | None, end: str | None) -> TimeSeriesData:

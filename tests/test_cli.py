@@ -1,6 +1,7 @@
 """Tests for the command-line pipeline and its output contracts."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -147,6 +148,19 @@ class TestIrf:
         assert total.names == ("total",)
         comps = vx.read_irf_csv(str(out / "irf_components.csv"))
         assert comps.names == ("within_d1", "within_q3", "within_d9", "between")
+
+    def test_numpy_scalars_in_the_spec_write_the_same_manifest(self, inputs, tmp_path):
+        wages, shocks = inputs
+        specs = {
+            "numpy": vx.VarxSpec(
+                bootstrap_reps=np.int64(100), seed=np.int64(3), shock_size=np.float32(-0.25),
+                contemporaneous_shock=np.bool_(True),
+            ),
+            "python": vx.VarxSpec(bootstrap_reps=100, seed=3, shock_size=-0.25, contemporaneous_shock=True),
+        }
+        for name, spec in specs.items():
+            run_irf(wages, shocks, tmp_path / name, spec, targets=("total",))
+        assert (tmp_path / "numpy" / "manifest.json").read_bytes() == (tmp_path / "python" / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("extra", [[], ["--per-component"], ["--start", "2002Q1", "--end", "2008Q4"]])
     def test_resampled_rows_are_drawn_once_per_run(self, runner, inputs, tmp_path, monkeypatch, extra):
@@ -529,6 +543,23 @@ class TestConfigFile:
         result = runner.invoke(main, ["decompose", "--config", str(cfg)])
         assert_clean_failure(result, "unknown key 'reps'")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"reps": 100.7}, "'reps' set to 100.7; expected an integer"),
+            ({"reps": True}, "'reps' set to true; expected an integer"),
+            ({"shock_size": True}, "'shock_size' set to true; expected a number"),
+        ],
+        ids=["float_for_int", "bool_for_int", "bool_for_float"],
+    )
+    def test_value_click_would_coerce(self, runner, inputs, tmp_path, entry, message):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "shocks": str(shocks), "out": str(tmp_path / "o"), **entry}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert_clean_failure(result, "run.json", message)
+        assert not (tmp_path / "o").exists()
+
     def test_required_inputs_still_named(self, runner, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"reps": 100}))
@@ -612,18 +643,20 @@ class TestControlCoverage:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs ``python -m wageineq.cli ARGS`` in this process and prints what it
-# imported and the BLAS thread setting it saw. Site hooks may import tempfile
-# at start-up, so it is dropped first and only the command's own imports count.
+# imported, the BLAS thread setting it saw and the state it left the garbage
+# collector in. Site hooks may import tempfile at start-up, so it is dropped
+# first and only the command's own imports count.
 RUN_CLI = """
-import json, os, runpy, sys
+import gc, json, os, runpy, sys
 sys.modules.pop("tempfile", None)
 sys.argv = ["wageineq", *sys.argv[1:]]
 try:
     runpy.run_module("wageineq.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-mods = [m for m in ("numpy", "numpy.random", "numpy.ma", "tempfile", "hashlib", "wageineq.varx") if m in sys.modules]
-print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": mods}))
+mods = [m for m in ("numpy", "numpy.random", "tempfile", "hashlib", "wageineq.varx") if m in sys.modules]
+print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": mods,
+                  "gc_enabled": gc.isenabled(), "gc_frozen": gc.get_freeze_count()}))
 """
 
 
@@ -652,18 +685,33 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             wageineq.nonexistent
 
-    @pytest.mark.parametrize(
-        "extra, unused",
-        [([], {"numpy.random", "tempfile"}), (["--band-method", "percentile"], {"numpy.ma"})],
-    )
-    def test_irf_imports_only_what_it_uses(self, inputs, tmp_path, extra, unused):
+    def test_irf_imports_only_what_it_uses(self, inputs, tmp_path):
         wages, shocks = inputs
-        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"),
-                "--reps", "100", *extra]
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"), "--reps", "100"]
         report = json.loads(run_python(RUN_CLI, *args))
         assert report["code"] == 0
-        assert "numpy" in report["modules"] and not unused & set(report["modules"])
+        assert "numpy" in report["modules"] and not {"numpy.random", "tempfile"} & set(report["modules"])
         assert "wageineq.varx" in report["modules"]
+
+    def test_program_runs_with_the_collector_off_and_the_imports_frozen(self, inputs, tmp_path):
+        wages, shocks = inputs
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"), "--reps", "100"]
+        report = json.loads(run_python(RUN_CLI, *args))
+        assert report["code"] == 0
+        assert report["gc_enabled"] is False and report["gc_frozen"] > 0
+
+    def test_import_leaves_the_collector_alone(self):
+        code = "import gc, json, wageineq.cli; print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+        assert json.loads(run_python(code)) == [True, 0]
+
+    def test_cli_runner_leaves_the_collector_alone(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        before = gc.isenabled(), gc.get_freeze_count()
+        result = runner.invoke(
+            main, ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out"), *TestIrf.ARGS]
+        )
+        assert result.exit_code == 0, result.output
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
     @pytest.mark.parametrize("command", ["decompose", "growth"])
     def test_panel_commands_leave_varx_and_hashlib_unloaded(self, inputs, tmp_path, command):

@@ -703,31 +703,6 @@ class TestStreamKernel:
         assert_rows_are_streams(rows, 7, bound)
 
 
-class TestPercentile:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing, NaN and inf inputs are on purpose
-    @given(
-        n=st.integers(1, 40),
-        width=st.integers(1, 3),
-        q=st.one_of(st.floats(0, 100), st.sampled_from([25.0, 50.0, 75.0])),  # the latter hit weight 0.5
-        data=st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_numpy(self, n, width, q, data):
-        elements = st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True),
-            st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # ties, and zeros of both signs
-        )
-        stack = np.array(data.draw(st.lists(elements, min_size=n * width, max_size=n * width))).reshape(n, width)
-        with np.errstate(invalid="ignore"):
-            want = np.percentile(stack, q, axis=0)
-            got = vx._percentile(stack, q)
-        assert got.tobytes() == want.tobytes()
-
-    def test_weight_one_half_interpolates_from_the_upper_value(self):
-        stack = np.array([[-0.1321048632913019], [0.1257302210933933], [1.0]])  # a + d/2 != b - d/2 here
-        assert vx._percentile(stack, 25.0).tobytes() == np.percentile(stack, 25.0, axis=0).tobytes()
-
-
 class TestSubsample:
     def _data(self, T=60):
         rng = np.random.default_rng(8)
