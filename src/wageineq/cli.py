@@ -37,7 +37,7 @@ from .theil import DomainError
 # varx is imported inside the commands that fit a model, so decompose and
 # growth never load it.
 
-COMPONENT_NAMES = ("within_d1", "within_q3", "within_d9", "between")
+COMPONENT_NAMES = pn.SERIES_HEADER[2:6]  # the three within terms and between
 
 
 def _sha256(path) -> str:
@@ -56,16 +56,19 @@ def _apply_config(ctx, param, path):
         raise click.BadParameter(f"{path} is not a readable JSON file: {exc}", ctx, param) from None
     if not isinstance(cfg, dict):
         raise click.BadParameter(f"{path} must hold a JSON object", ctx, param)
-    types = {p.name: p.type for p in ctx.command.params if p is not param}
+    params = {p.name: p for p in ctx.command.params if p is not param}
     for key, value in cfg.items():
-        if key not in types:
+        if key not in params:
             raise click.BadParameter(
-                f"{path} has unknown key {key!r}; expected one of {', '.join(sorted(types))}", ctx, param
+                f"{path} has unknown key {key!r}; expected one of {', '.join(sorted(params))}", ctx, param
             )
-        number = {click.INT: "an integer", click.FLOAT: "a number"}.get(types[key])
-        # click would truncate 100.7 to 100 and read true as 1
-        if number and (isinstance(value, bool) or (isinstance(value, float) and types[key] is click.INT)):
-            raise click.BadParameter(f"{path} has key {key!r} set to {json.dumps(value)}; expected {number}", ctx, param)
+        p = params[key]
+        number = {click.INT: "an integer", click.FLOAT: "a number"}.get(p.type)
+        coerced = isinstance(value, bool) or (isinstance(value, float) and p.type is click.INT)
+        # click would truncate 100.7 to 100, read true as 1 and name no file or key for null or a bare string
+        if value is None or (p.multiple and not isinstance(value, list)) or (number and coerced):
+            expected = "a JSON list" if p.multiple else number or "a value"
+            raise click.BadParameter(f"{path} has key {key!r} set to {json.dumps(value)}; expected {expected}", ctx, param)
     ctx.default_map = cfg
 
 
@@ -118,37 +121,35 @@ def run_irf(
     out_dir.mkdir(parents=True, exist_ok=True)
     aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
     series = pn.compute_series(aligned.panel)
-    columns = {"total": series.total, **dict(zip(COMPONENT_NAMES[:3], series.within.T)), "between": series.between}
-    first, n_quarters = aligned.panel.first, aligned.panel.n_quarters
+    X = np.column_stack([series.total, series.within, series.between])  # in SERIES_HEADER's order
+    sample = vx.subsample(vx.TimeSeriesData(aligned.panel.first, X, aligned.shocks.values, pn.SERIES_HEADER[1:6]), start, end)
+    columns = dict(zip(sample.names, sample.X.T))  # over the estimation sample, on which every system is fitted
 
-    control_cols, control_paths = {}, {}
+    control_paths = {}
     for path in controls:
         name = Path(path).stem
-        if name in columns:
-            raise pn.PanelError(f"control series {path} is named like the series {name!r}; rename the file")
         if name in control_paths:
             raise pn.PanelError(f"control series {control_paths[name]} and {path} share the name {name!r}")
+        if name in columns:
+            raise pn.PanelError(f"control series {path} is named like the series {name!r}; rename the file")
         control_paths[name] = path
         ctrl = pn.parse_shock_csv(path)
-        # the run's leading quarters that the control covers
-        covered = 0 if ctrl.first > first else min(max(ctrl.first + len(ctrl.values) - first, 0), n_quarters)
-        if covered < n_quarters:
-            raise pn.PanelError(f"control series {path} does not cover quarter {aligned.quarters[covered]}")
-        control_cols[name] = ctrl.restrict(first, n_quarters).values
+        # the sample's leading quarters that the control covers
+        covered = 0 if ctrl.first > sample.first else min(max(ctrl.first + len(ctrl.values) - sample.first, 0), sample.T)
+        if covered < sample.T:
+            raise pn.PanelError(f"control series {path} does not cover quarter {sample.quarters[covered]}")
+        columns[name] = ctrl.restrict(sample.first, sample.T).values
 
     def make_data(var_names, fname):
-        X = np.column_stack([columns.get(n, control_cols.get(n)) for n in var_names])
-        data = vx.subsample(vx.TimeSeriesData(first, X, aligned.shocks.values, tuple(var_names)), start, end)
+        X = np.column_stack([columns[n] for n in var_names])
         if standardize:
-            X = data.X.copy()
-            for i, name in enumerate(data.names):
+            for i, name in enumerate(var_names):
                 try:
                     X[:, i] = pn.standardize(X[:, i])
                 except DomainError as exc:
-                    span = f"{data.quarters[0]}..{data.quarters[-1]}"
+                    span = f"{sample.quarters[0]}..{sample.quarters[-1]}"
                     raise DomainError(f"{exc} ({name!r} for {fname} over {span})") from None
-            data = vx.TimeSeriesData(data.first, X, data.d, data.names)
-        return data
+        return vx.TimeSeriesData(sample.first, X, sample.d, tuple(var_names))
 
     targets = list(dict.fromkeys(targets))  # a repeated target is run once
     systems = {}  # output file -> the inequality series its fit takes as endogenous
@@ -164,7 +165,7 @@ def run_irf(
 
     records = {}
     for fname, var_names in systems.items():
-        design = vx.build_design(make_data(var_names + list(control_cols), fname), spec)
+        design = vx.build_design(make_data(var_names + list(control_paths), fname), spec)
         model = vx.estimate(design)
         irf = vx.bootstrap_bands(model, design, spec)
         vx.write_irf_csv(irf, out_dir / fname)
@@ -179,9 +180,7 @@ def run_irf(
     manifest = {
         "wage_csv": {"path": str(wage_csv), "sha256": _sha256(wage_csv)},
         "shock_csv": {"path": str(shock_csv), "sha256": _sha256(shock_csv)},
-        "controls": {
-            Path(p).stem: {"path": str(p), "sha256": _sha256(p)} for p in controls
-        },
+        "controls": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in control_paths.items()},
         "targets": targets,
         "per_component": per_component,
         "standardize": standardize,

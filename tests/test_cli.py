@@ -549,8 +549,13 @@ class TestConfigFile:
             ({"reps": 100.7}, "'reps' set to 100.7; expected an integer"),
             ({"reps": True}, "'reps' set to true; expected an integer"),
             ({"shock_size": True}, "'shock_size' set to true; expected a number"),
+            ({"targets": "components"}, ''''targets' set to "components"; expected a JSON list'''),
+            ({"controls": "x.csv"}, ''''controls' set to "x.csv"; expected a JSON list'''),
+            ({"reps": None}, "'reps' set to null; expected an integer"),
+            ({"start": None}, "'start' set to null; expected a value"),
         ],
-        ids=["float_for_int", "bool_for_int", "bool_for_float"],
+        ids=["float_for_int", "bool_for_int", "bool_for_float", "string_for_targets", "string_for_controls",
+             "null_for_int", "null_for_string"],
     )
     def test_value_click_would_coerce(self, runner, inputs, tmp_path, entry, message):
         wages, shocks = inputs
@@ -559,6 +564,20 @@ class TestConfigFile:
         result = runner.invoke(main, ["irf", "--config", str(cfg)])
         assert_clean_failure(result, "run.json", message)
         assert not (tmp_path / "o").exists()
+
+    def test_json_lists_for_repeatable_options(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        control = tmp_path / "indpro.csv"
+        pn.write_shock_csv(synthetic_shock_series(pn.parse_wage_csv(wages).quarters, seed=3), control)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "shocks": str(shocks), "out": str(tmp_path / "o"),
+                                   "reps": 100, "targets": ["total"], "controls": [str(control)]}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["files"] == ["irf_total.csv"]
+        assert manifest["controls"]["indpro"]["path"] == str(control)
+        assert manifest["regressors"] == {"irf_total.csv": 8}
 
     def test_required_inputs_still_named(self, runner, tmp_path):
         cfg = tmp_path / "run.json"
@@ -603,7 +622,7 @@ class TestControlNames:
 
 
 class TestControlCoverage:
-    """A control must cover the aligned run (here 2000Q1..2009Q4); the error names the first quarter it misses."""
+    """A control must cover the estimation sample (here 2000Q1..2009Q4); the error names the first quarter it misses."""
 
     @staticmethod
     def run_with_control(runner, inputs, tmp_path, start, n):
@@ -639,6 +658,65 @@ class TestControlCoverage:
         )
         with pytest.raises(DomainError, match="'flat' for irf_total.csv"):
             run_irf(wages, shocks, tmp_path / "o", vx.VarxSpec(bootstrap_reps=100), controls=(flat,))
+
+
+class TestEstimationSample:
+    """--start/--end cut the aligned run once; a control need only cover that estimation sample."""
+
+    SAMPLE = ["--start", "2001Q1", "--end", "2008Q4"]
+
+    @staticmethod
+    def write_control(path, start, n):
+        pn.write_shock_csv(synthetic_shock_series(make_quarters(start, n), seed=3), path)
+        return path
+
+    def run(self, runner, inputs, out, control, *extra):
+        wages, shocks = inputs
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out), "--control", str(control)]
+        return runner.invoke(main, args + list(extra) + TestIrf.ARGS)
+
+    def test_control_covering_exactly_the_sample_runs(self, runner, inputs, tmp_path):
+        control = self.write_control(tmp_path / "indpro.csv", "2001Q1", 32)
+        result = self.run(runner, inputs, tmp_path / "o", control, *self.SAMPLE)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["effective_sample"] == {"irf_total.csv": 28, "irf_components.csv": 28}
+
+    @pytest.mark.parametrize("start, n, missing", [("2001Q2", 31, "2001Q1"), ("2001Q1", 31, "2008Q4")],
+                             ids=["starting_a_quarter_late", "ending_a_quarter_early"])
+    def test_control_missing_a_sample_quarter(self, runner, inputs, tmp_path, start, n, missing):
+        control = self.write_control(tmp_path / "indpro.csv", start, n)
+        result = self.run(runner, inputs, tmp_path / "o", control, *self.SAMPLE)
+        assert result.exit_code == 1
+        assert result.output == f"Error: control series {control} does not cover quarter {missing}\n"
+
+    def test_bad_sample_is_reported_before_the_controls_are_read(self, runner, inputs, tmp_path):
+        control = tmp_path / "indpro.csv"
+        control.write_text("not,a,shock,csv\n")
+        result = self.run(runner, inputs, tmp_path / "o", control, "--start", "2005Q1", "--end", "2004Q4")
+        assert result.exit_code == 1
+        assert result.output == "Error: subsample start 2005Q1 is after end 2004Q4\n"
+
+    def test_fits_match_a_run_on_inputs_cut_to_the_sample(self, runner, tmp_path):
+        panel = synthetic_wage_panel()  # 2000Q1..2020Q1
+        shocks = synthetic_shock_series(panel.quarters)
+        control = synthetic_shock_series(make_quarters("2003Q1", 68), seed=3)  # 2003Q1..2019Q4
+        first, n = pn.parse_quarter("2005Q1"), 56  # 2005Q1..2018Q4
+        outputs = {}
+        for label, cut, flags in [("flags", False, ["--start", "2005Q1", "--end", "2018Q4"]), ("cut", True, [])]:
+            d = tmp_path / label
+            d.mkdir()
+            pn.write_wage_csv(panel.restrict(first, n) if cut else panel, d / "wages.csv")
+            for run, fname in ((shocks, "shocks.csv"), (control, "indpro.csv")):
+                pn.write_shock_csv(run.restrict(first, n) if cut else run, d / fname)
+            inputs = (d / "wages.csv", d / "shocks.csv")
+            result = self.run(runner, inputs, d / "o", d / "indpro.csv", "--per-component", *flags)
+            assert result.exit_code == 0, result.output
+            files = json.loads((d / "o" / "manifest.json").read_text())["files"]
+            outputs[label] = {fname: (d / "o" / fname).read_bytes() for fname in files}
+        assert len(outputs["flags"]) == 5
+        assert outputs["flags"] == outputs["cut"]
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
