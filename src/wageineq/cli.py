@@ -57,27 +57,34 @@ def _apply_config(ctx, param, path):
     if not isinstance(cfg, dict):
         raise click.BadParameter(f"{path} must hold a JSON object", ctx, param)
     params = {p.name: p for p in ctx.command.params if p is not param}
+    # the JSON values an option of each click type takes, and their wording; any other option takes a string
+    json_types = {"integer": (int, "an integer"), "float": ((int, float), "a number"), "boolean": (bool, "true or false")}
     for key, value in cfg.items():
         if key not in params:
             raise click.BadParameter(
                 f"{path} has unknown key {key!r}; expected one of {', '.join(sorted(params))}", ctx, param
             )
+        # checked here, as the option's click type declares: click would coerce what it can (100.7 to
+        # 100, "no" to false, a list to its text) and name no file or key for what it cannot
         p = params[key]
-        number = {click.INT: "an integer", click.FLOAT: "a number"}.get(p.type)
-        coerced = isinstance(value, bool) or (isinstance(value, float) and p.type is click.INT)
-        # click would truncate 100.7 to 100, read true as 1 and name no file or key for null or a bare string
-        if value is None or (p.multiple and not isinstance(value, list)) or (number and coerced):
-            expected = "a JSON list" if p.multiple else number or "a value"
+        types, expected = json_types.get(p.type.name, (str, "a string"))
+        choices = getattr(p.type, "choices", None)
+        expected = "one of " + ", ".join(map(json.dumps, choices)) if choices else expected
+        items = value if p.multiple else [value]
+        if not isinstance(items, list) or not all(
+            isinstance(v, types) and isinstance(v, bool) == (types is bool) and (not choices or v in choices)
+            for v in items
+        ):
+            expected = f"a JSON list, each item {expected}" if p.multiple else expected
             raise click.BadParameter(f"{path} has key {key!r} set to {json.dumps(value)}; expected {expected}", ctx, param)
     ctx.default_map = cfg
 
 
 def run_decompose(wage_csv, out_dir) -> dict:
     """Decompose a wage CSV; write series.csv and return the summary block."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = pn.compute_series(pn.parse_wage_csv(wage_csv))
-    pn.write_series_csv(series, out_dir / "series.csv")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    pn.write_series_csv(series, Path(out_dir) / "series.csv")
     return {
         "first_quarter": series.quarters[0],
         "last_quarter": series.quarters[-1],
@@ -89,10 +96,9 @@ def run_decompose(wage_csv, out_dir) -> dict:
 
 def run_growth(wage_csv, out_dir, method: str = "yoy") -> dict:
     """Write per-cell growth rates for a wage CSV."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     growth = pn.growth_rates(pn.parse_wage_csv(wage_csv), method=method)
-    pn.write_growth_csv(growth, out_dir / "growth.csv")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    pn.write_growth_csv(growth, Path(out_dir) / "growth.csv")
     return {"quarters": len(growth.quarters), "method": method, "files": ["growth.csv"]}
 
 
@@ -117,8 +123,8 @@ def run_irf(
     """
     from . import varx as vx
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if spec.exogenous_lags == 0 and not spec.contemporaneous_shock:
+        raise vx.VarxError("exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term")
     aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
     series = pn.compute_series(aligned.panel)
     X = np.column_stack([series.total, series.within, series.between])  # in SERIES_HEADER's order
@@ -163,12 +169,11 @@ def run_irf(
         else:
             systems["irf_components.csv"] = list(COMPONENT_NAMES)
 
-    records = {}
+    records, irfs = {}, {}
     for fname, var_names in systems.items():
         design = vx.build_design(make_data(var_names + list(control_paths), fname), spec)
         model = vx.estimate(design)
-        irf = vx.bootstrap_bands(model, design, spec)
-        vx.write_irf_csv(irf, out_dir / fname)
+        irfs[fname] = irf = vx.bootstrap_bands(model, design, spec)
         records[fname] = {
             "bootstrap_dropped": irf.dropped,
             # at the CSVs' precision, so a last-ulp change in the fit leaves the manifest's bytes alone
@@ -191,6 +196,10 @@ def run_irf(
     }
     for key in next(iter(records.values()), {}):  # one map per fact, from output file to value
         manifest[key] = {fname: record[key] for fname, record in records.items()}
+    out_dir = Path(out_dir)  # made only now, so a failed run leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fname, irf in irfs.items():
+        vx.write_irf_csv(irf, out_dir / fname)
     # rendered before the file is opened, so a value JSON cannot hold leaves no partial manifest
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest

@@ -207,20 +207,17 @@ def _read_rows(source, header, error):
             raise error(f"row {reader.line_num}: {exc}") from None
 
 
-def _float(text) -> float:
-    """float(text), but a ValueError for the '_' separators and non-ASCII digits that float() takes."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
-    return float(text)
-
-
-def _number(text, lineno, name) -> float:
+def _number(text, lineno, name, error=PanelError) -> float:
+    """The finite float of a CSV field, else ``error`` naming the row and column; unlike float(),
+    rejects '_' separators and non-ASCII digits."""
     try:
-        value = _float(text)
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        value = float(text)
     except ValueError:
-        raise PanelError(f"row {lineno}: non-numeric {name} {text!r}") from None
+        raise error(f"row {lineno}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):
-        raise PanelError(f"row {lineno}: {name} must be finite, got {text}")
+        raise error(f"row {lineno}: {name} must be finite, got {text}")
     return value
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .panel import PanelError, _float, _read_rows, _run_labels, _write_grid, parse_quarter
+from .panel import PanelError, _number, _read_rows, _run_labels, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -97,11 +97,13 @@ class TimeSeriesData:
     quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        if X.shape[0] == 1 and self.d.size > 1:
-            X = X.T
+        X = np.asarray(self.X, dtype=float)
+        if X.ndim == 1:  # one variable
+            X = X[:, None]
+        elif X.ndim != 2:
+            raise VarxError(f"X of shape {X.shape} is not (quarters, variables)")
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
         if self.d.shape != (self.T,):
             raise VarxError(f"X has {self.T} rows but d has shape {self.d.shape}")
         object.__setattr__(self, "quarters", _run_labels(self.first, self.T, VarxError))
@@ -601,37 +603,26 @@ def write_irf_csv(irf: ImpulseResponse, path) -> None:
 
 def read_irf_csv(source) -> ImpulseResponse:
     """Read a response table written by write_irf_csv."""
-    entries = {}
-    names = []
+    entries = {}  # (horizon, variable) -> the row's point, lower and upper
     for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
         h_text, name = h_text.strip(), name.strip()
         digits = h_text.removeprefix("-")
-        try:
-            if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
-                raise ValueError
-            key = (int(h_text), name)
-            vals = tuple(_float(v.strip()) for v in val_texts)
-        except ValueError:
-            raise VarxError(f"row {lineno}: non-numeric value") from None
-        for column, text, value in zip(_IRF_HEADER[2:], val_texts, vals):
-            if not math.isfinite(value):
-                raise VarxError(f"row {lineno}: {column} must be finite, got {text.strip()}")
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits
+            raise VarxError(f"row {lineno}: non-numeric horizon {h_text!r}")
+        key = (int(h_text), name)
         if key[0] < 0:
             raise VarxError(f"row {lineno}: negative horizon {h_text}")
         if key in entries:
             raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
-        if name not in names:
-            names.append(name)
-        entries[key] = vals
+        entries[key] = [_number(v.strip(), lineno, col, VarxError) for v, col in zip(val_texts, _IRF_HEADER[2:])]
     if not entries:
         raise VarxError("IRF CSV contains no data rows")
+    names = tuple(dict.fromkeys(name for _, name in entries))  # in first-seen order
     H = max(h for h, _ in entries)
-    point = np.empty((H + 1, len(names)))
-    lower = np.empty_like(point)
-    upper = np.empty_like(point)
+    bands = np.empty((3, H + 1, len(names)))
     for h in range(H + 1):
         for i, name in enumerate(names):
             if (h, name) not in entries:
                 raise VarxError(f"missing IRF entry for horizon {h}, variable {name}")
-            point[h, i], lower[h, i], upper[h, i] = entries[(h, name)]
-    return ImpulseResponse(tuple(names), point, lower, upper)
+            bands[:, h, i] = entries[(h, name)]
+    return ImpulseResponse(names, *bands)

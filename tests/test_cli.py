@@ -77,6 +77,12 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose"])
         assert result.exit_code != 0
 
+    def test_missing_wage_file_makes_no_output_directory(self, runner, tmp_path):
+        result = runner.invoke(main, ["decompose", "--wages", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: [Errno 2] No such file or directory"), result.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestGrowth:
     def test_writes_growth_csv(self, runner, inputs, tmp_path):
@@ -203,6 +209,27 @@ class TestIrf:
         assert result.exit_code == 1
         assert result.output == f"Error: shock_size must be a finite number, not {float(size)!r}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_model_without_a_shock_term_is_rejected_before_reading(self, runner, tmp_path):
+        missing = str(tmp_path / "nope.csv")
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", missing, "--shocks", missing, "--out", str(tmp_path / "out"),
+             "--exo-lags", "0", "--no-contemporaneous"],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_makes_no_output_directory(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out), "--start", "2030Q1"]
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: subsample start 2030Q1 is after end 2009Q4\n"
+        assert not out.exists()
 
     def test_manifest_reports_dropped_replications(self, runner, inputs, tmp_path):
         wages, shocks = inputs
@@ -552,10 +579,16 @@ class TestConfigFile:
             ({"targets": "components"}, ''''targets' set to "components"; expected a JSON list'''),
             ({"controls": "x.csv"}, ''''controls' set to "x.csv"; expected a JSON list'''),
             ({"reps": None}, "'reps' set to null; expected an integer"),
-            ({"start": None}, "'start' set to null; expected a value"),
+            ({"start": None}, "'start' set to null; expected a string"),
+            ({"start": ["2001Q1"]}, ''''start' set to ["2001Q1"]; expected a string'''),
+            ({"targets": [1]}, ''''targets' set to [1]; expected a JSON list, each item one of "total", "components"'''),
+            ({"reps": "100"}, ''''reps' set to "100"; expected an integer'''),
+            ({"standardize": "no"}, ''''standardize' set to "no"; expected true or false'''),
+            ({"band_method": "bogus"}, ''''band_method' set to "bogus"; expected one of "sd", "percentile"'''),
         ],
         ids=["float_for_int", "bool_for_int", "bool_for_float", "string_for_targets", "string_for_controls",
-             "null_for_int", "null_for_string"],
+             "null_for_int", "null_for_string", "list_for_string", "item_outside_choices", "string_for_int",
+             "string_for_flag", "string_outside_choices"],
     )
     def test_value_click_would_coerce(self, runner, inputs, tmp_path, entry, message):
         wages, shocks = inputs
@@ -564,6 +597,37 @@ class TestConfigFile:
         result = runner.invoke(main, ["irf", "--config", str(cfg)])
         assert_clean_failure(result, "run.json", message)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "irf", "growth"])
+    def test_every_option_checks_its_json_type(self, runner, inputs, tmp_path, monkeypatch, command):
+        """A wrong-typed value for any option fails naming the file and the key, and writes nothing."""
+        wages, shocks = inputs
+        monkeypatch.chdir(tmp_path)  # where a wrong-typed --out would be made
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{}")
+        before = sorted(tmp_path.iterdir())
+        params = [p for p in main.commands[command].params if p.name != "config"]
+        names = {p.name for p in params}
+        for p in params:
+            # a value click would take and coerce: the text of a number or a flag, or a number for text
+            wrong = {"integer": "1", "float": "1", "boolean": "true"}.get(p.type.name, 1)
+            entry = {"wages": str(wages), "shocks": str(shocks), "out": "o", p.name: [wrong] if p.multiple else wrong}
+            cfg.write_text(json.dumps({key: value for key, value in entry.items() if key in names}))
+            result = runner.invoke(main, [command, "--config", str(cfg)])
+            assert result.exit_code == 2, (p.name, result.output)
+            assert_clean_failure(result, "run.json", f"has key {p.name!r} set to {json.dumps(entry[p.name])}; expected")
+            assert sorted(tmp_path.iterdir()) == before, p.name
+        assert len(params) == {"decompose": 2, "irf": 17, "growth": 3}[command]
+
+    def test_integer_for_number_option(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "shocks": str(shocks), "out": str(tmp_path / "o"),
+                                   "reps": 100, "targets": ["total"], "shock_size": 1}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["spec"]["shock_size"] == 1.0
 
     def test_json_lists_for_repeatable_options(self, runner, inputs, tmp_path):
         wages, shocks = inputs

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ class TestIrfReader:
     @pytest.mark.parametrize("horizon", ["1_0", "+1", "\u0661", "1\uff10", "-", ""])
     def test_horizon_must_be_ascii_digits(self, horizon):
         text = self.HEADER + "0,total,1,0,2\n" + f"{horizon},total,9,9,9\n"
-        with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
+        with pytest.raises(vx.VarxError, match=f"^row 3: non-numeric horizon {re.escape(repr(horizon))}$"):
             vx.read_irf_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\uff10"])
@@ -422,7 +423,8 @@ class TestIrfReader:
         fields = ["1", "total", "1", "0", "2"]
         fields[column] = value
         text = self.HEADER + "0,total,1,0,2\n" + ",".join(fields) + "\n"
-        with pytest.raises(vx.VarxError, match="^row 3: non-numeric value$"):
+        name = ("point", "lower", "upper")[column - 2]
+        with pytest.raises(vx.VarxError, match=f"^row 3: non-numeric {name} {re.escape(repr(value))}$"):
             vx.read_irf_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -434,6 +436,14 @@ class TestIrfReader:
         name = ("point", "lower", "upper")[column - 2]
         with pytest.raises(vx.VarxError, match=f"^row 3: {name} must be finite, got {value}$"):
             vx.read_irf_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("-1,total,x,0,2", "negative horizon -1"), ("0,total,x,0,2", "duplicate entry for horizon 0, variable total")],
+    )
+    def test_horizon_then_duplicates_then_values(self, row, message):
+        with pytest.raises(vx.VarxError, match=f"^row 3: {message}$"):
+            vx.read_irf_csv(io.StringIO(self.HEADER + "0,total,1,0,2\n" + row + "\n"))
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_csv_error_names_its_row(self, line):

@@ -1,6 +1,7 @@
 """Tests for VARX estimation, dynamic multipliers, and bootstrap bands."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -756,6 +757,21 @@ class TestFirstQuarterIndex:
     def test_rejects_x_and_d_that_disagree(self, X, d):
         with pytest.raises(vx.VarxError, match="rows but d has shape"):
             vx.TimeSeriesData(8000, X, d)
+
+    def test_one_dimensional_x_is_one_variable(self):
+        data = vx.TimeSeriesData(8000, np.arange(5.0), np.zeros(5))
+        assert data.X.shape == (5, 1)
+        assert data.names == ("x0",)
+
+    def test_one_row_x_is_one_quarter(self):
+        with pytest.raises(vx.VarxError, match=r"^X has 1 rows but d has shape \(5,\)$"):
+            vx.TimeSeriesData(8000, np.zeros((1, 5)), np.zeros(5))
+        assert vx.TimeSeriesData(8000, np.zeros((1, 5)), np.zeros(1)).k == 5
+
+    @pytest.mark.parametrize("shape", [(), (4, 2, 1)])
+    def test_rejects_x_of_another_rank(self, shape):
+        with pytest.raises(vx.VarxError, match=rf"^X of shape {re.escape(str(shape))} is not \(quarters, variables\)$"):
+            vx.TimeSeriesData(8000, np.zeros(shape), np.zeros(4))
 
     @pytest.mark.parametrize("start, end", [("BADQ3", "2005Q1"), ("2000Q1", "2005Q5"), ("2000Q1", "")])
     def test_subsample_junk_label_is_a_varx_error(self, start, end):
