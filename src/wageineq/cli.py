@@ -123,8 +123,25 @@ def run_irf(
     """
     from . import varx as vx
 
+    # the requested shock must move something: all-zero responses with zero-width bands answer nothing
+    if spec.shock_size == 0:
+        raise vx.VarxError("shock_size 0 moves nothing; every response would be zero")
     if spec.exogenous_lags == 0 and not spec.contemporaneous_shock:
         raise vx.VarxError("exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term")
+    targets = list(dict.fromkeys(targets))  # a repeated target is run once
+    if not targets:
+        raise vx.VarxError("no target to run; expected total, components or both")
+    systems = {}  # output file -> the inequality series its fit takes as endogenous
+    for target in targets:
+        if target == "total":
+            systems["irf_total.csv"] = ["total"]
+        elif target != "components":
+            raise vx.VarxError(f"unknown target {target!r}; expected total or components")
+        elif per_component:
+            systems.update((f"irf_{name}.csv", [name]) for name in COMPONENT_NAMES)
+        else:
+            systems["irf_components.csv"] = list(COMPONENT_NAMES)
+
     aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
     series = pn.compute_series(aligned.panel)
     X = np.column_stack([series.total, series.within, series.between])  # in SERIES_HEADER's order
@@ -139,12 +156,10 @@ def run_irf(
         if name in columns:
             raise pn.PanelError(f"control series {path} is named like the series {name!r}; rename the file")
         control_paths[name] = path
-        ctrl = pn.parse_shock_csv(path)
-        # the sample's leading quarters that the control covers
-        covered = 0 if ctrl.first > sample.first else min(max(ctrl.first + len(ctrl.values) - sample.first, 0), sample.T)
-        if covered < sample.T:
-            raise pn.PanelError(f"control series {path} does not cover quarter {sample.quarters[covered]}")
-        columns[name] = ctrl.restrict(sample.first, sample.T).values
+        try:
+            columns[name] = pn.parse_shock_csv(path).restrict(sample.first, sample.T).values
+        except pn.PanelError as exc:
+            raise pn.PanelError(f"control series {path}: {exc}") from None
 
     def make_data(var_names, fname):
         X = np.column_stack([columns[n] for n in var_names])
@@ -156,18 +171,6 @@ def run_irf(
                     span = f"{sample.quarters[0]}..{sample.quarters[-1]}"
                     raise DomainError(f"{exc} ({name!r} for {fname} over {span})") from None
         return vx.TimeSeriesData(sample.first, X, sample.d, tuple(var_names))
-
-    targets = list(dict.fromkeys(targets))  # a repeated target is run once
-    systems = {}  # output file -> the inequality series its fit takes as endogenous
-    for target in targets:
-        if target == "total":
-            systems["irf_total.csv"] = ["total"]
-        elif target != "components":
-            raise click.ClickException(f"unknown target {target!r}")
-        elif per_component:
-            systems.update((f"irf_{name}.csv", [name]) for name in COMPONENT_NAMES)
-        else:
-            systems["irf_components.csv"] = list(COMPONENT_NAMES)
 
     records, irfs = {}, {}
     for fname, var_names in systems.items():
@@ -194,7 +197,7 @@ def run_irf(
         "spec": dataclasses.asdict(spec),
         "files": list(records),
     }
-    for key in next(iter(records.values()), {}):  # one map per fact, from output file to value
+    for key in next(iter(records.values())):  # one map per fact, from output file to value
         manifest[key] = {fname: record[key] for fname, record in records.items()}
     out_dir = Path(out_dir)  # made only now, so a failed run leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,7 +233,7 @@ _config_opt = click.option(
     help="JSON config file keyed by option names; flags override it.",
 )
 _out_opt = click.option("--out", type=click.Path(), default="out", show_default=True, help="Output directory.")
-_wages_opt = click.option("--wages", type=click.Path(), default=None, help="Wage CSV (quarter,race,quantile,wage).")
+_wages_opt = click.option("--wages", type=click.Path(), required=True, help="Wage CSV (quarter,race,quantile,wage).")
 
 
 @main.command()
@@ -239,8 +242,6 @@ _wages_opt = click.option("--wages", type=click.Path(), default=None, help="Wage
 @_out_opt
 def decompose(wages, out):
     """Write the per-quarter within/between decomposition series."""
-    if wages is None:
-        raise click.ClickException("--wages (or config 'wages') is required")
     try:
         summary = run_decompose(wages, out)
     except (pn.PanelError, DomainError, OSError) as exc:
@@ -254,7 +255,7 @@ def decompose(wages, out):
 @main.command()
 @_config_opt
 @_wages_opt
-@click.option("--shocks", type=click.Path(), default=None, help="Shock CSV (quarter,shock).")
+@click.option("--shocks", type=click.Path(), required=True, help="Shock CSV (quarter,shock).")
 @_out_opt
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--reps", type=int, default=2000, show_default=True, help="Bootstrap replications.")
@@ -275,8 +276,6 @@ def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_con
     """Estimate impulse responses of the inequality series to the shock."""
     from . import varx as vx
 
-    if wages is None or shocks is None:
-        raise click.ClickException("--wages and --shocks (or config entries) are required")
     try:
         spec = vx.VarxSpec(
             endogenous_lags=endo_lags,
@@ -315,8 +314,6 @@ def irf(wages, shocks, out, seed, reps, horizon, shock_size, standardize, no_con
 @click.option("--method", type=click.Choice(["yoy", "log_qoq"]), default="yoy", show_default=True)
 def growth(wages, out, method):
     """Write year-over-year (or log quarter-over-quarter) wage growth rates."""
-    if wages is None:
-        raise click.ClickException("--wages (or config 'wages') is required")
     try:
         summary = run_growth(wages, out, method=method)
     except (pn.PanelError, DomainError, OSError) as exc:
@@ -334,9 +331,7 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
     from . import varx as vx
     from .fixtures import synthetic_shock_series, synthetic_wage_panel
 
-    if out_dir is None:
-        out_dir = tempfile.mkdtemp(prefix="wageineq-demo-")
-    out_dir = Path(out_dir)
+    out_dir = Path(tempfile.mkdtemp(prefix="wageineq-demo-") if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
 
@@ -400,12 +395,13 @@ def run_demo(out_dir=None, reps: int = 200, seed: int = 0) -> list:
 @click.option("--seed", type=int, default=0, show_default=True)
 def demo(out, reps, seed):
     """End-to-end run on bundled synthetic fixtures with a pass/fail report."""
-    results = run_demo(out, reps=reps, seed=seed)
-    failed = False
+    try:
+        results = run_demo(out, reps=reps, seed=seed)
+    except OSError as exc:  # --out cannot be made: it names a file, or a path under one
+        raise click.ClickException(str(exc)) from exc
     for name, ok, detail in results:
         click.echo(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failed = failed or not ok
-    sys.exit(1 if failed else 0)
+    sys.exit(0 if all(ok for _, ok, _ in results) else 1)
 
 
 def entry():

@@ -172,10 +172,12 @@ def _run_labels(first, n: int, error=PanelError) -> tuple:
 
 
 def _run_slice(run, first: int, n: int) -> slice:
-    """Rows of a panel or shock series holding the n quarters from index first."""
-    t = first - run.first
-    if t < 0 or n < 0 or t + n > len(run.quarters):
-        raise PanelError(f"{n} quarters from {format_quarter(first)} are not all in the run")
+    """Rows of a panel or shock series holding the n quarters from index first; errors name the first it lacks."""
+    t, end = first - run.first, len(run.quarters)
+    if n < 0:
+        raise PanelError(f"cannot take {n} quarters")
+    if t < 0 or t + n > end:
+        raise PanelError(f"does not cover quarter {format_quarter(first if t < 0 else run.first + max(t, end))}")
     return slice(t, t + n)
 
 

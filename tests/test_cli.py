@@ -77,6 +77,18 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("args, option", [
+        (["decompose"], "--wages"),
+        (["growth"], "--wages"),
+        (["irf", "--shocks", "shocks.csv"], "--wages"),
+        (["irf", "--wages", "wages.csv"], "--shocks"),
+    ], ids=["decompose", "growth", "irf_wages", "irf_shocks"])
+    def test_missing_input_is_a_usage_error(self, runner, tmp_path, args, option):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"\nError: Missing option '{option}'.\n"), result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_wage_file_makes_no_output_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["decompose", "--wages", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
@@ -219,6 +231,36 @@ class TestIrf:
         )
         assert result.exit_code == 1
         assert result.output == "Error: exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-0.0"])
+    def test_zero_shock_size_is_rejected_before_reading(self, runner, tmp_path, size):
+        missing = str(tmp_path / "nope.csv")
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", missing, "--shocks", missing, "--out", str(tmp_path / "out"), "--shock-size", size],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: shock_size 0 moves nothing; every response would be zero\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_shock_size_from_the_config_is_rejected(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "shocks": str(shocks), "shock_size": 0}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert result.output == "Error: shock_size 0 moves nothing; every response would be zero\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("targets, message", [
+        (("bogus",), "unknown target 'bogus'; expected total or components"),
+        ((), "no target to run; expected total, components or both"),
+    ], ids=["unknown", "empty"])
+    def test_targets_are_checked_before_reading(self, tmp_path, targets, message):
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(vx.VarxError, match=f"^{message}$"):
+            run_irf(missing, missing, tmp_path / "out", vx.VarxSpec(bootstrap_reps=100), targets=targets)
         assert not (tmp_path / "out").exists()
 
     def test_failed_run_makes_no_output_directory(self, runner, inputs, tmp_path):
@@ -494,6 +536,16 @@ class TestDemo:
         result = runner.invoke(main, ["decompose", "--wages", str(wages), "--out", str(out)])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_a_file"])
+    def test_out_naming_a_file_is_reported(self, runner, tmp_path, under):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "demo" if under else tmp_path / "taken"
+        result = runner.invoke(main, ["demo", "--out", str(out), "--reps", "100"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: [Errno ") and result.output.count("\n") == 1, result.output
+        assert str(out) in result.output
+
     def test_cli_exit_zero(self, runner, tmp_path):
         result = runner.invoke(main, ["demo", "--out", str(tmp_path / "d"), "--reps", "100"])
         assert result.exit_code == 0, result.output
@@ -647,7 +699,17 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"reps": 100}))
         result = runner.invoke(main, ["irf", "--config", str(cfg)])
-        assert_clean_failure(result, "--wages and --shocks (or config entries) are required")
+        assert result.exit_code == 2
+        assert result.output.endswith("\nError: Missing option '--wages'.\n"), result.output
+
+    def test_wages_from_the_config_with_shocks_as_a_flag(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"wages": str(wages), "reps": 100, "targets": ["total"]}))
+        result = runner.invoke(main, ["irf", "--config", str(cfg), "--shocks", str(shocks), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert (manifest["wage_csv"]["path"], manifest["shock_csv"]["path"]) == (str(wages), str(shocks))
 
 
 class TestControlNames:
@@ -700,13 +762,22 @@ class TestControlCoverage:
     def test_control_starting_a_quarter_late(self, runner, inputs, tmp_path):
         result, path = self.run_with_control(runner, inputs, tmp_path, "2000Q2", 40)
         assert result.exit_code == 1
-        assert result.output == f"Error: control series {path} does not cover quarter 2000Q1\n"
+        assert result.output == f"Error: control series {path}: does not cover quarter 2000Q1\n"
 
     def test_control_ending_a_quarter_early(self, runner, inputs, tmp_path):
         result, path = self.run_with_control(runner, inputs, tmp_path, "1999Q1", 43)
         assert result.exit_code == 1
-        assert result.output == f"Error: control series {path} does not cover quarter 2009Q4\n"
+        assert result.output == f"Error: control series {path}: does not cover quarter 2009Q4\n"
 
+    def test_malformed_control_row_names_the_file(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        path = tmp_path / "indpro.csv"
+        path.write_text("quarter,shock\n2000Q1,0.5\n2000Q2,abc\n")
+        result = runner.invoke(main, ["irf", "--wages", str(wages), "--shocks", str(shocks),
+                                      "--out", str(tmp_path / "o"), "--control", str(path)] + TestIrf.ARGS)
+        assert result.exit_code == 1
+        assert result.output == f"Error: control series {path}: row 3: non-numeric shock 'abc'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_constant_control_names_variable_file_and_span(self, runner, inputs, tmp_path):
         wages, shocks = inputs
@@ -752,7 +823,7 @@ class TestEstimationSample:
         control = self.write_control(tmp_path / "indpro.csv", start, n)
         result = self.run(runner, inputs, tmp_path / "o", control, *self.SAMPLE)
         assert result.exit_code == 1
-        assert result.output == f"Error: control series {control} does not cover quarter {missing}\n"
+        assert result.output == f"Error: control series {control}: does not cover quarter {missing}\n"
 
     def test_bad_sample_is_reported_before_the_controls_are_read(self, runner, inputs, tmp_path):
         control = tmp_path / "indpro.csv"

@@ -184,11 +184,27 @@ class TestAlign:
         panel = synthetic_wage_panel(12)
         shocks = synthetic_shock_series(panel.quarters)
         for run in (panel, shocks):
-            with pytest.raises(pn.PanelError, match="4 quarters from 2002Q3 are not all in the run"):
+            with pytest.raises(pn.PanelError, match="^does not cover quarter 2003Q1$"):
                 run.restrict(panel.first + 10, 4)  # runs past the end
-            with pytest.raises(pn.PanelError, match="2 quarters from 1999Q4 are not all in the run"):
+            with pytest.raises(pn.PanelError, match="^does not cover quarter 1999Q4$"):
                 run.restrict(panel.first - 1, 2)  # starts before the run
             assert run.restrict(panel.first, 12).quarters == panel.quarters
+
+    @pytest.mark.parametrize("offset, n, missing", [
+        (-3, 2, "1999Q2"),  # wholly before the run
+        (14, 1, "2003Q3"),  # wholly past its end
+    ])
+    def test_restrict_names_the_first_quarter_it_lacks(self, offset, n, missing):
+        panel = synthetic_wage_panel(12)  # 2000Q1..2002Q4
+        for run in (panel, synthetic_shock_series(panel.quarters)):
+            with pytest.raises(pn.PanelError, match=f"^does not cover quarter {missing}$"):
+                run.restrict(panel.first + offset, n)
+
+    def test_restrict_rejects_a_negative_count(self):
+        panel = synthetic_wage_panel(12)
+        for run in (panel, synthetic_shock_series(panel.quarters)):
+            with pytest.raises(pn.PanelError, match="^cannot take -1 quarters$"):
+                run.restrict(panel.first + 3, -1)
 
 
 class TestFirstQuarterIndex:
