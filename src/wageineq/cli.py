@@ -80,6 +80,14 @@ def _apply_config(ctx, param, path):
     ctx.default_map = cfg
 
 
+def _read(what, read, path):
+    """read(path), with a PanelError it raises re-raised naming ``what`` and the path."""
+    try:
+        return read(path)
+    except pn.PanelError as exc:
+        raise pn.PanelError(f"{what} {path}: {exc}") from None
+
+
 def run_decompose(wage_csv, out_dir) -> dict:
     """Decompose a wage CSV; write series.csv and return the summary block."""
     series = pn.compute_series(pn.parse_wage_csv(wage_csv))
@@ -142,7 +150,7 @@ def run_irf(
         else:
             systems["irf_components.csv"] = list(COMPONENT_NAMES)
 
-    aligned = pn.align(pn.parse_wage_csv(wage_csv), pn.parse_shock_csv(shock_csv))
+    aligned = pn.align(_read("wage CSV", pn.parse_wage_csv, wage_csv), _read("shock CSV", pn.parse_shock_csv, shock_csv))
     series = pn.compute_series(aligned.panel)
     X = np.column_stack([series.total, series.within, series.between])  # in SERIES_HEADER's order
     sample = vx.subsample(vx.TimeSeriesData(aligned.panel.first, X, aligned.shocks.values, pn.SERIES_HEADER[1:6]), start, end)
@@ -156,10 +164,7 @@ def run_irf(
         if name in columns:
             raise pn.PanelError(f"control series {path} is named like the series {name!r}; rename the file")
         control_paths[name] = path
-        try:
-            columns[name] = pn.parse_shock_csv(path).restrict(sample.first, sample.T).values
-        except pn.PanelError as exc:
-            raise pn.PanelError(f"control series {path}: {exc}") from None
+        columns[name] = _read("control series", lambda p: pn.parse_shock_csv(p).restrict(sample.first, sample.T), path).values
 
     def make_data(var_names, fname):
         X = np.column_stack([columns[n] for n in var_names])

@@ -468,28 +468,19 @@ def _solve_lags(V: np.ndarray, lag_cols: int, Q_F: np.ndarray, R_F: np.ndarray):
     return deficient, B_F, B_L
 
 
-def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
-    """Recursive residual bootstrap bands around the point multipliers.
+def _bootstrap_draws(model: VarxModel, design: Design, spec: VarxSpec) -> tuple:
+    """Each replication's refitted coefficients (reps, m, k) in ``design.columns`` order, and a (reps,) kept mask.
 
-    Each replication resamples residual rows i.i.d. with replacement,
-    regenerates the sample, re-estimates, and recomputes the multipliers.
-    Replication r draws from a stream derived from (seed, r), so results
-    are identical regardless of evaluation order or of how many
-    replications share a batched pass. Initial lags and the
-    whole exogenous path stay at their observed values; d is exogenous by
-    assumption and is not resampled, so only the lag columns of the design
-    change between replications: the constant and shock columns are
-    factored once and partialled out of each refit (``_solve_lags``).
-    Paths are regenerated for many replications per pass and each pass is
-    refitted in smaller groups (``_pass_sizes``); every product is taken
-    per replication, so the bands do not depend on either size. The
-    default bands are the point estimate +/- 1 bootstrap standard
-    deviation; the percentile method uses the 15.87/84.13 percentiles
-    (clipped to contain the point).
-    Replications whose re-estimation is rank deficient are dropped and
-    counted in ``dropped``; more than 5% failures aborts.
+    Replication r resamples residual rows i.i.d. with replacement from the
+    stream (seed, r), regenerates the sample and re-estimates. Initial lags
+    and the exogenous path d stay at their observed values, so only the lag
+    columns of the design change: the constant and shock columns are
+    factored once and partialled out of each refit (``_solve_lags``). Paths
+    are regenerated for many replications per pass and each pass is refitted
+    in smaller groups (``_pass_sizes``); every product is taken per
+    replication, so no draw depends on either size or on evaluation order.
+    A replication whose re-estimation is rank deficient is not kept; its row is NaN.
     """
-    point = dynamic_multipliers(model, spec).point
     dspec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
     reps, T_eff, lag_cols = spec.bootstrap_reps, design.T_eff, p * k
     lags = slice(1, 1 + lag_cols)
@@ -502,7 +493,7 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     path = np.empty((regen, p + T_eff, k))
     path[:, :p] = design.data.X[design.offset - p : design.offset]  # pre-sample lags, never overwritten
     V = np.empty((refit, T_eff, lag_cols + k))
-    stack, kept, dropped = np.empty((reps, spec.horizon + 1, k)), 0, 0  # the kept replications' responses
+    coefs, kept = np.full((reps, design.m, k), np.nan), np.empty(reps, bool)
     for first in range(0, reps, regen):
         rows = resampled[first : first + regen]
         X = path[: len(rows)]
@@ -510,7 +501,6 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
             X[lo : lo + refit, p:] = model.residuals[rows[lo : lo + refit]]
         X[:, p:] += base
         _recurse(X, model.endo_coefs, X[:, p:], p)  # in place
-        coefs = []
         for lo in range(0, len(rows), refit):
             Xs = X[lo : lo + refit]
             Vn = V[: len(Xs)]
@@ -518,14 +508,29 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
                 Vn[:, :, (j - 1) * k : j * k] = Xs[:, p - j : p - j + T_eff]
             Vn[:, :, lag_cols:] = Xs[:, p:]
             deficient, B_F, B_L = _solve_lags(Vn, lag_cols, Q_F, R_F)
-            dropped += int(deficient.sum())
-            coefs.append(np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1))
-        _, endo, exog = _unpack(np.concatenate(coefs), dspec, k)
-        stack[kept : kept + len(endo)] = _multipliers(endo, exog, spec.horizon, spec.shock_size)
-        kept += len(endo)
-    if dropped > 0.05 * reps:
-        raise VarxError(f"bootstrap aborted: {dropped} of {reps} replications failed re-estimation")
-    stack = stack[:kept]
+            at = slice(first + lo, first + lo + len(Xs))
+            kept[at] = ~deficient
+            coefs[at][~deficient] = np.concatenate((B_F[:, :1], B_L, B_F[:, 1:]), axis=1)
+    return coefs, kept
+
+
+def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
+    """Recursive residual bootstrap bands around the point multipliers.
+
+    The multipliers of the replications ``_bootstrap_draws`` kept are taken
+    in one batched recursion. The default bands are the point estimate +/- 1
+    bootstrap standard deviation; the percentile method uses the 15.87/84.13
+    percentiles (clipped to contain the point). Replications whose
+    re-estimation is rank deficient are dropped and counted in ``dropped``;
+    more than 5% failures aborts.
+    """
+    point = dynamic_multipliers(model, spec).point
+    coefs, kept = _bootstrap_draws(model, design, spec)
+    dropped = spec.bootstrap_reps - int(kept.sum())
+    if dropped > 0.05 * spec.bootstrap_reps:
+        raise VarxError(f"bootstrap aborted: {dropped} of {spec.bootstrap_reps} replications failed re-estimation")
+    _, endo, exog = _unpack(coefs[kept], design.spec, design.data.k)
+    stack = _multipliers(endo, exog, spec.horizon, spec.shock_size)  # the kept replications' responses
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd

@@ -497,6 +497,25 @@ class TestIrf:
         )
         assert result.exit_code != 0
 
+    def test_input_errors_name_the_file(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+
+        def run(wage_path, shock_path):
+            args = ["irf", "--wages", str(wage_path), "--shocks", str(shock_path), "--out", str(tmp_path / "o")]
+            result = runner.invoke(main, args + self.ARGS)
+            assert result.exit_code == 1 and not (tmp_path / "o").exists()
+            return result.output
+
+        # swapped files fail at the wage file, which is read first
+        assert run(shocks, wages) == (
+            f"Error: wage CSV {shocks}: bad CSV header ['quarter', 'shock']; expected quarter,race,quantile,wage\n"
+        )
+        assert run(wages, wages) == (
+            f"Error: shock CSV {wages}: bad CSV header ['quarter', 'race', 'quantile', 'wage']; expected quarter,shock\n"
+        )
+        shocks.write_text("quarter,shock\n2000Q1,0.5\n2000Q2,abc\n")
+        assert run(wages, shocks) == f"Error: shock CSV {shocks}: row 3: non-numeric shock 'abc'\n"
+
     def test_config_file_with_flag_override(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         out = tmp_path / "out"

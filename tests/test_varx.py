@@ -1,5 +1,6 @@
 """Tests for VARX estimation, dynamic multipliers, and bootstrap bands."""
 
+import dataclasses
 import io
 import re
 
@@ -393,12 +394,15 @@ def scalar_bootstrap(model, design, spec):
     """The per-replication bootstrap loop: the reference for the batched one.
 
     Regenerates, re-estimates and recomputes the multipliers one replication
-    at a time. Returns the lower and upper bands and the failure count.
+    at a time. Returns the lower and upper bands, each replication's fitted
+    coefficients (reps, m, k) in ``design.columns`` order, NaN where the
+    refit failed, and the (reps,) mask of the refits that succeeded.
     """
     data, dspec = design.data, design.spec
-    p, q = dspec.endogenous_lags, dspec.exogenous_lags
+    p, q, k = dspec.endogenous_lags, dspec.exogenous_lags, data.k
     point = vx.dynamic_multipliers(model, spec).point
-    draws, failures = [], 0
+    draws = []
+    coefs, kept = np.full((spec.bootstrap_reps, design.m, k), np.nan), np.zeros(spec.bootstrap_reps, bool)
     for rep in range(spec.bootstrap_reps):
         rows = np.random.default_rng((spec.seed, rep)).integers(0, design.T_eff, size=design.T_eff)
         Xb = data.X.copy()
@@ -413,24 +417,33 @@ def scalar_bootstrap(model, design, spec):
             Xb[t] = x
         boot = vx.TimeSeriesData(data.first, Xb, data.d, data.names)
         try:
-            draws.append(vx.dynamic_multipliers(vx.estimate(vx.build_design(boot, spec)), spec).point)
+            fit = vx.estimate(vx.build_design(boot, spec))
         except (vx.VarxError, np.linalg.LinAlgError):
-            failures += 1
+            continue
+        kept[rep] = True
+        # the design's columns: the constant, lag j's k columns for j = 1..p, then the shock columns
+        exog_rows = fit.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
+        coefs[rep] = np.vstack((fit.intercept, fit.endo_coefs.swapaxes(-1, -2).reshape(p * k, k), exog_rows))
+        draws.append(vx.dynamic_multipliers(fit, spec).point)
     stack = np.array(draws)
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
-        return point - sd, point + sd, failures
+        return point - sd, point + sd, coefs, kept
     lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
     upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
-    return lower, upper, failures
+    return lower, upper, coefs, kept
 
 
 def assert_matches_scalar(model, design, spec):
-    lower, upper, failures = scalar_bootstrap(model, design, spec)
+    lower, upper, coefs, kept = scalar_bootstrap(model, design, spec)
+    draws, drawn = vx._bootstrap_draws(model, design, spec)
+    assert np.array_equal(drawn, kept)
+    np.testing.assert_allclose(draws[kept], coefs[kept], rtol=0, atol=1e-10)
+    assert np.isnan(draws[~kept]).all()
     bands = vx.bootstrap_bands(model, design, spec)
     np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-12)
-    assert bands.dropped == failures
+    assert bands.dropped == spec.bootstrap_reps - kept.sum()
     return bands
 
 
@@ -558,7 +571,7 @@ class TestBatchedBootstrap:
     def test_too_many_failures_abort(self):
         model, design = self._sparse_residual_model(nonzero_rows=1)
         spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
-        failures = scalar_bootstrap(model, design, spec)[2]
+        failures = spec.bootstrap_reps - scalar_bootstrap(model, design, spec)[3].sum()
         assert failures > 5
         with pytest.raises(
             vx.VarxError, match=f"bootstrap aborted: {failures} of 100 replications failed re-estimation"
@@ -595,10 +608,13 @@ class TestChunksAndDraws:
     def test_bands_do_not_depend_on_chunk_size(self, monkeypatch):
         solves = self._count_calls(monkeypatch, vx, "_solve_lags")
         recursions = self._count_calls(monkeypatch, vx, "_recurse")
+        draws, inner = [], vx._bootstrap_draws  # what each bootstrap_bands call drew
+        monkeypatch.setattr(vx, "_bootstrap_draws", lambda *args: draws.append(inner(*args)) or draws[-1])
         dropped = []
         for model, design, spec in self._cases():
             p, T_eff, reps = design.spec.endogenous_lags, design.T_eff, spec.bootstrap_reps
             results = []
+            draws.clear()
             # (replications per regeneration pass, per refit), varied independently
             for regen, refit in ((1, 1), (reps, 1), (7, 7), (7, 3), (reps, 11), (reps, reps), (13, 5)):
                 monkeypatch.setattr(vx, "_pass_sizes", lambda *args, sizes=(regen, refit): sizes)
@@ -613,7 +629,21 @@ class TestChunksAndDraws:
                 assert np.array_equal(bands.lower, results[0].lower)
                 assert np.array_equal(bands.upper, results[0].upper)
                 assert bands.dropped == results[0].dropped
+            (coefs, kept), *others = draws
+            for other, other_kept in others:
+                assert np.array_equal(other_kept, kept)
+                assert np.array_equal(other[other_kept], coefs[kept])
             dropped.append(results[0].dropped)
+        assert dropped[1] > 0
+
+    def test_more_reps_extend_the_draws(self):
+        dropped = []
+        for model, design, spec in self._cases():
+            coefs, kept = vx._bootstrap_draws(model, design, dataclasses.replace(spec, bootstrap_reps=150))
+            more, more_kept = vx._bootstrap_draws(model, design, dataclasses.replace(spec, bootstrap_reps=300))
+            assert np.array_equal(more_kept[:150], kept)
+            assert np.array_equal(more[:150][kept], coefs[kept])
+            dropped.append(150 - kept.sum())
         assert dropped[1] > 0
 
     @pytest.mark.parametrize(
