@@ -90,7 +90,7 @@ def _read(what, read, path):
 
 def run_decompose(wage_csv, out_dir) -> dict:
     """Decompose a wage CSV; write series.csv and return the summary block."""
-    series = pn.compute_series(pn.parse_wage_csv(wage_csv))
+    series = pn.compute_series(_read("wage CSV", pn.parse_wage_csv, wage_csv))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     pn.write_series_csv(series, Path(out_dir) / "series.csv")
     return {
@@ -104,7 +104,7 @@ def run_decompose(wage_csv, out_dir) -> dict:
 
 def run_growth(wage_csv, out_dir, method: str = "yoy") -> dict:
     """Write per-cell growth rates for a wage CSV."""
-    growth = pn.growth_rates(pn.parse_wage_csv(wage_csv), method=method)
+    growth = pn.growth_rates(_read("wage CSV", pn.parse_wage_csv, wage_csv), method=method)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     pn.write_growth_csv(growth, Path(out_dir) / "growth.csv")
     return {"quarters": len(growth.quarters), "method": method, "files": ["growth.csv"]}

@@ -190,19 +190,16 @@ class VarxModel:
 
     ``endo_coefs[j-1]`` is the (k, k) matrix on X_{t-j}; ``exog_coefs``
     has q+1 rows, row j the k-vector on d_{t-j} (row 0 is zero when the
-    contemporaneous term is excluded).
+    contemporaneous term is excluded). The lag structure is that of the
+    fitted design's ``spec``: p = len(endo_coefs), q = len(exog_coefs) - 1.
     """
 
     names: tuple
-    endogenous_lags: int
-    exogenous_lags: int
-    contemporaneous_shock: bool
     intercept: np.ndarray = field(repr=False)
     endo_coefs: np.ndarray = field(repr=False)  # (p, k, k)
     exog_coefs: np.ndarray = field(repr=False)  # (q+1, k)
     residuals: np.ndarray = field(repr=False)  # (T_eff, k)
     sigma: np.ndarray = field(repr=False)  # (k, k)
-    stderr: np.ndarray = field(repr=False)  # (m, k), per-equation OLS SEs
 
     @property
     def k(self) -> int:
@@ -245,23 +242,8 @@ def estimate(design: Design) -> VarxModel:
     coefs = np.linalg.solve(R, QtY)
     resid = Y - Z @ coefs
     sigma = resid.T @ resid / (T_eff - m)
-    ztz_inv_diag = np.sum(np.linalg.inv(R) ** 2, axis=1)
-    stderr = np.sqrt(np.outer(ztz_inv_diag, np.diag(sigma)))
-
-    spec = design.spec
-    intercept, endo, exog = _unpack(coefs, spec, design.data.k)
-    return VarxModel(
-        names=design.data.names,
-        endogenous_lags=spec.endogenous_lags,
-        exogenous_lags=spec.exogenous_lags,
-        contemporaneous_shock=spec.contemporaneous_shock,
-        intercept=intercept,
-        endo_coefs=endo,
-        exog_coefs=exog,
-        residuals=resid,
-        sigma=sigma,
-        stderr=stderr,
-    )
+    intercept, endo, exog = _unpack(coefs, design.spec, design.data.k)
+    return VarxModel(design.data.names, intercept, endo, exog, resid, sigma)
 
 
 @dataclass(frozen=True)
@@ -482,6 +464,9 @@ def _bootstrap_draws(model: VarxModel, design: Design, spec: VarxSpec) -> tuple:
     A replication whose re-estimation is rank deficient is not kept; its row is NaN.
     """
     dspec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
+    for name in ("endogenous_lags", "exogenous_lags", "contemporaneous_shock"):
+        if getattr(spec, name) != getattr(dspec, name):
+            raise VarxError(f"bootstrap spec has {name} {getattr(spec, name)!r} but the design has {getattr(dspec, name)!r}")
     reps, T_eff, lag_cols = spec.bootstrap_reps, design.T_eff, p * k
     lags = slice(1, 1 + lag_cols)
     # intercept plus exogenous term, the same in every replication
@@ -522,7 +507,8 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
     bootstrap standard deviation; the percentile method uses the 15.87/84.13
     percentiles (clipped to contain the point). Replications whose
     re-estimation is rank deficient are dropped and counted in ``dropped``;
-    more than 5% failures aborts.
+    more than 5% failures aborts. A ``spec`` whose lag structure differs
+    from ``design.spec``'s raises VarxError.
     """
     point = dynamic_multipliers(model, spec).point
     coefs, kept = _bootstrap_draws(model, design, spec)
@@ -535,8 +521,8 @@ def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> Impulse
         sd = stack.std(axis=0, ddof=1)
         lower, upper = point - sd, point + sd
     else:
-        lower = np.minimum(np.percentile(stack, 15.87, axis=0), point)
-        upper = np.maximum(np.percentile(stack, 84.13, axis=0), point)
+        lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
+        lower, upper = np.minimum(lower, point), np.maximum(upper, point)
     return ImpulseResponse(model.names, point, lower, upper, dropped)
 
 
@@ -591,7 +577,7 @@ def simulate_varx(
 
 def companion_spectral_radius(model: VarxModel) -> float:
     """Largest eigenvalue modulus of the autoregressive companion matrix."""
-    p, k = model.endogenous_lags, model.k
+    p, k = model.endo_coefs.shape[:2]
     comp = np.zeros((p * k, p * k))
     for j in range(p):
         comp[:k, j * k : (j + 1) * k] = model.endo_coefs[j]

@@ -82,15 +82,11 @@ class TestCriterion3ClosedFormMultipliers:
         exog[0, 0] = 1.0
         model = vx.VarxModel(
             names=("x",),
-            endogenous_lags=1,
-            exogenous_lags=4,
-            contemporaneous_shock=True,
             intercept=np.zeros(1),
             endo_coefs=np.array([[[0.5]]]),
             exog_coefs=exog,
             residuals=np.zeros((40, 1)),
             sigma=np.zeros((1, 1)),
-            stderr=np.zeros((7, 1)),
         )
         irf = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=1.0, horizon=10))
         err = np.abs(irf.point[:, 0] - 0.5 ** np.arange(11)).max()
@@ -106,10 +102,7 @@ class TestCriterion4EstimationRecovery:
     A0_TRUE = np.array([0.1, -0.1])
 
     def _true_irf(self, spec):
-        model = vx.VarxModel(
-            ("a", "b"), 1, 4, True, np.zeros(2), self.B_TRUE, self.C_TRUE,
-            np.zeros((10, 2)), np.zeros((2, 2)), np.zeros((8, 2)),
-        )
+        model = vx.VarxModel(("a", "b"), np.zeros(2), self.B_TRUE, self.C_TRUE, np.zeros((10, 2)), np.zeros((2, 2)))
         return vx.dynamic_multipliers(model, spec).point
 
     def test_monte_carlo_recovery(self):

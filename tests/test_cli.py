@@ -40,6 +40,15 @@ def inputs(tmp_path):
     return wages, shocks
 
 
+def assert_field_limit_error_names_the_file(runner, tmp_path, command):
+    """``command`` fails on a wage CSV with an over-long field in one line naming the file."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("quarter,race,quantile,wage\n2000Q1,Asian,D1," + "1" * 131_073 + "\n")
+    result = runner.invoke(main, [command, "--wages", str(bad), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: wage CSV {bad}: row 2: field larger than field limit (131072)\n"
+
+
 class TestDecompose:
     def test_summary_and_output(self, runner, inputs, tmp_path):
         wages, _ = inputs
@@ -67,11 +76,7 @@ class TestDecompose:
         assert "positive" in result.output
 
     def test_csv_error_is_reported_on_one_line(self, runner, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("quarter,race,quantile,wage\n2000Q1,Asian,D1," + "1" * 131_073 + "\n")
-        result = runner.invoke(main, ["decompose", "--wages", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 1
-        assert result.output == "Error: row 2: field larger than field limit (131072)\n"
+        assert_field_limit_error_names_the_file(runner, tmp_path, "decompose")
 
     def test_missing_wages_flag(self, runner):
         result = runner.invoke(main, ["decompose"])
@@ -97,6 +102,9 @@ class TestDecompose:
 
 
 class TestGrowth:
+    def test_csv_error_is_reported_on_one_line(self, runner, tmp_path):
+        assert_field_limit_error_names_the_file(runner, tmp_path, "growth")
+
     def test_writes_growth_csv(self, runner, inputs, tmp_path):
         wages, _ = inputs
         out = tmp_path / "out"

@@ -24,15 +24,11 @@ def univariate_model(b=0.5, c0=1.0, q=4, resid_len=40):
     exog[0, 0] = c0
     return vx.VarxModel(
         names=("x",),
-        endogenous_lags=1,
-        exogenous_lags=q,
-        contemporaneous_shock=True,
         intercept=np.zeros(1),
         endo_coefs=np.array([[[b]]]),
         exog_coefs=exog,
         residuals=np.zeros((resid_len, 1)),
         sigma=np.zeros((1, 1)),
-        stderr=np.zeros((7, 1)),
     )
 
 
@@ -229,13 +225,7 @@ class TestDynamicMultipliers:
 
     def test_no_contemporaneous_term(self):
         model = univariate_model()
-        model = vx.VarxModel(
-            **{
-                **model.__dict__,
-                "contemporaneous_shock": False,
-                "exog_coefs": np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]),
-            }
-        )
+        model = vx.VarxModel(**{**model.__dict__, "exog_coefs": np.array([[0.0], [1.0], [0.0], [0.0], [0.0]])})
         irf = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=1.0, contemporaneous_shock=False))
         assert irf.point[0, 0] == 0.0
         assert irf.point[1, 0] == 1.0
@@ -389,6 +379,21 @@ class TestBootstrapBands:
         assert np.all(bands.point <= bands.upper)
         assert np.any(bands.upper > bands.lower)
 
+    @pytest.mark.parametrize(
+        "spec_kwargs, message",
+        [
+            ({"endogenous_lags": 3, "exogenous_lags": 0}, "endogenous_lags 3 but the design has 1"),
+            ({"exogenous_lags": 2}, "exogenous_lags 2 but the design has 4"),
+            ({"contemporaneous_shock": False}, "contemporaneous_shock False but the design has True"),
+        ],
+    )
+    def test_spec_with_another_lag_structure_is_rejected(self, spec_kwargs, message):
+        # the model and design were fitted with p = 1, q = 4 and a contemporaneous term
+        model, design = self._fit()
+        spec = vx.VarxSpec(bootstrap_reps=100, **spec_kwargs)
+        with pytest.raises(vx.VarxError, match=f"^bootstrap spec has {message}$"):
+            vx.bootstrap_bands(model, design, spec)
+
 
 def scalar_bootstrap(model, design, spec):
     """The per-replication bootstrap loop: the reference for the batched one.
@@ -532,15 +537,11 @@ class TestBatchedBootstrap:
         resid[:nonzero_rows, 0] = 1.0
         model = vx.VarxModel(
             names=("x0",),
-            endogenous_lags=1,
-            exogenous_lags=4,
-            contemporaneous_shock=True,
             intercept=np.full(1, level),
             endo_coefs=np.array([[[b]]]),
             exog_coefs=np.zeros((5, 1)),
             residuals=resid,
             sigma=np.zeros((1, 1)),
-            stderr=np.zeros((design.m, 1)),
         )
         return model, design
 
