@@ -33,20 +33,20 @@ X = np.column_stack(
 data = TimeSeriesData(joined.panel.first, X, joined.shocks.values, ("total", "between"))
 
 # 1 endogenous lag, 4 shock lags plus the same-quarter term, 10-quarter
-# horizon, responses scaled to a 25 basis point cut.
+# horizon, responses scaled to a 25 basis point cut. The design keeps the
+# spec, so the fit and its bootstrap read every setting from one place.
 spec = VarxSpec(bootstrap_reps=500, seed=1)
 design = build_design(data, spec)
 model = estimate(design)
 print(f"effective sample: {design.T_eff} rows, {design.m} regressors per equation")
 print("residual covariance:\n", model.sigma)
 
-point = dynamic_multipliers(model, spec)
-irf = bootstrap_bands(model, design, spec)
+irf = bootstrap_bands(model, design)
 print("\nresponse of the total index to a -0.25 shock (point [lower, upper]):")
 for h in range(spec.horizon + 1):
-    print(f"  h={h:2d}  {point.point[h, 0]:+.4f}  [{irf.lower[h, 0]:+.4f}, {irf.upper[h, 0]:+.4f}]")
+    print(f"  h={h:2d}  {irf.point[h, 0]:+.4f}  [{irf.lower[h, 0]:+.4f}, {irf.upper[h, 0]:+.4f}]")
 
 # Multipliers are exactly linear in the shock size.
-unit = dynamic_multipliers(model, VarxSpec(shock_size=1.0))
-assert np.allclose(point.point, -0.25 * unit.point)
+unit = dynamic_multipliers(model, spec.horizon, 1.0)
+assert np.allclose(irf.point, -0.25 * unit)
 print("\nlinearity check passed: responses scale exactly with the shock size")

@@ -131,11 +131,6 @@ def run_irf(
     """
     from . import varx as vx
 
-    # the requested shock must move something: all-zero responses with zero-width bands answer nothing
-    if spec.shock_size == 0:
-        raise vx.VarxError("shock_size 0 moves nothing; every response would be zero")
-    if spec.exogenous_lags == 0 and not spec.contemporaneous_shock:
-        raise vx.VarxError("exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term")
     targets = list(dict.fromkeys(targets))  # a repeated target is run once
     if not targets:
         raise vx.VarxError("no target to run; expected total, components or both")
@@ -181,7 +176,7 @@ def run_irf(
     for fname, var_names in systems.items():
         design = vx.build_design(make_data(var_names + list(control_paths), fname), spec)
         model = vx.estimate(design)
-        irfs[fname] = irf = vx.bootstrap_bands(model, design, spec)
+        irfs[fname] = irf = vx.bootstrap_bands(model, design)
         records[fname] = {
             "bootstrap_dropped": irf.dropped,
             # at the CSVs' precision, so a last-ulp change in the fit leaves the manifest's bytes alone

@@ -84,6 +84,11 @@ class VarxSpec:
             raise VarxError(f"contemporaneous_shock must be a bool, not {self.contemporaneous_shock!r}")
         if self.band_method not in ("sd", "percentile"):
             raise VarxError(f"unknown band_method {self.band_method!r}")
+        # the shock must move something: all-zero responses with zero-width bands answer nothing
+        if self.shock_size == 0:
+            raise VarxError("shock_size 0 moves nothing; every response would be zero")
+        if self.exogenous_lags == 0 and not self.contemporaneous_shock:
+            raise VarxError("exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term")
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,11 @@ class TimeSeriesData:
             object.__setattr__(self, "names", tuple(f"x{i}" for i in range(self.X.shape[1])))
         elif len(self.names) != self.X.shape[1]:
             raise VarxError("one name per endogenous variable required")
+        bad = ~np.isfinite(np.column_stack((self.X, self.d)))  # a NaN would pass through every fit unnoticed
+        if bad.any():
+            t, j = divmod(int(np.argmax(bad)), self.k + 1)
+            name, value = (self.names[j], self.X[t, j]) if j < self.k else ("shock", self.d[t])
+            raise VarxError(f"{name} is {value} in {self.quarters[t]}; every value must be finite")
 
     @property
     def k(self) -> int:
@@ -127,7 +137,8 @@ class Design:
 
     Row t of ``Z`` holds [1, X_{t-1..t-p}, d_t (if contemporaneous),
     d_{t-1..t-q}]; ``offset`` rows were dropped from the start of the data
-    to make all lags available.
+    to make all lags available. ``spec`` holds every setting of the fit,
+    the bootstrap's included.
     """
 
     data: TimeSeriesData
@@ -135,7 +146,10 @@ class Design:
     Z: np.ndarray = field(repr=False)
     Y: np.ndarray = field(repr=False)
     columns: tuple
-    offset: int
+
+    @property
+    def offset(self) -> int:
+        return max(self.spec.endogenous_lags, self.spec.exogenous_lags)
 
     @property
     def T_eff(self) -> int:
@@ -180,7 +194,6 @@ def build_design(data: TimeSeriesData, spec: VarxSpec) -> Design:
         Z=np.hstack(blocks),
         Y=data.X[offset:].copy(),
         columns=tuple(columns),
-        offset=offset,
     )
 
 
@@ -206,11 +219,12 @@ class VarxModel:
         return len(self.names)
 
 
-def _unpack(coefs: np.ndarray, spec: VarxSpec, k: int):
-    """Split (..., m, k) coefficients into the intercept, the (..., p, k, k)
-    autoregressive matrices in row-equation form and the (..., q+1, k)
-    exogenous rows, row 0 zero when the contemporaneous term is excluded.
+def _unpack(coefs: np.ndarray, design: Design):
+    """Split (..., m, k) coefficients on ``design``'s columns into the intercept,
+    the (..., p, k, k) autoregressive matrices in row-equation form and the
+    (..., q+1, k) exogenous rows, row 0 zero when the contemporaneous term is excluded.
     """
+    spec, k = design.spec, design.data.k
     p, q = spec.endogenous_lags, spec.exogenous_lags
     # column i of each lag block is equation i; transpose to row-equation form
     endo = coefs[..., 1 : 1 + p * k, :].reshape(coefs.shape[:-2] + (p, k, k)).swapaxes(-1, -2)
@@ -242,7 +256,7 @@ def estimate(design: Design) -> VarxModel:
     coefs = np.linalg.solve(R, QtY)
     resid = Y - Z @ coefs
     sigma = resid.T @ resid / (T_eff - m)
-    intercept, endo, exog = _unpack(coefs, design.spec, design.data.k)
+    intercept, endo, exog = _unpack(coefs, design)
     return VarxModel(design.data.names, intercept, endo, exog, resid, sigma)
 
 
@@ -250,8 +264,7 @@ def estimate(design: Design) -> VarxModel:
 class ImpulseResponse:
     """Responses at horizons 0..H per variable, with lower/upper bands.
 
-    When inputs were standardized the units are standard deviations. For a
-    points-only response the bands coincide with the point estimates.
+    When inputs were standardized the units are standard deviations.
     """
 
     names: tuple
@@ -265,15 +278,14 @@ class ImpulseResponse:
         return self.point.shape[0] - 1
 
 
-def dynamic_multipliers(model: VarxModel, spec: VarxSpec) -> ImpulseResponse:
-    """Response to a one-time shock of size spec.shock_size, future shocks 0.
+def dynamic_multipliers(model: VarxModel, horizon: int, shock_size: float) -> np.ndarray:
+    """Responses (H+1, k) at horizons 0..H to a one-time shock of size s, future shocks 0.
 
     The recursion feeds the shock through the exogenous coefficients and
     propagates it with the autoregressive matrices:
     psi_0 = C_0 s, psi_h = sum_j B_j psi_{h-j} + C_h s (C_h = 0 past q).
     """
-    psi = _multipliers(model.endo_coefs, model.exog_coefs, spec.horizon, spec.shock_size)
-    return ImpulseResponse(model.names, psi, psi.copy(), psi.copy())
+    return _multipliers(model.endo_coefs, model.exog_coefs, horizon, shock_size)
 
 
 def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: int) -> np.ndarray:
@@ -450,27 +462,25 @@ def _solve_lags(V: np.ndarray, lag_cols: int, Q_F: np.ndarray, R_F: np.ndarray):
     return deficient, B_F, B_L
 
 
-def _bootstrap_draws(model: VarxModel, design: Design, spec: VarxSpec) -> tuple:
+def _bootstrap_draws(model: VarxModel, design: Design) -> tuple:
     """Each replication's refitted coefficients (reps, m, k) in ``design.columns`` order, and a (reps,) kept mask.
 
-    Replication r resamples residual rows i.i.d. with replacement from the
-    stream (seed, r), regenerates the sample and re-estimates. Initial lags
-    and the exogenous path d stay at their observed values, so only the lag
-    columns of the design change: the constant and shock columns are
-    factored once and partialled out of each refit (``_solve_lags``). Paths
-    are regenerated for many replications per pass and each pass is refitted
-    in smaller groups (``_pass_sizes``); every product is taken per
-    replication, so no draw depends on either size or on evaluation order.
+    Replication r < ``design.spec.bootstrap_reps`` resamples residual rows
+    i.i.d. with replacement from the stream (``design.spec.seed``, r),
+    regenerates the sample and re-estimates. Initial lags and the exogenous
+    path d stay at their observed values, so only the lag columns of the
+    design change: the constant and shock columns are factored once and
+    partialled out of each refit (``_solve_lags``). Paths are regenerated
+    for many replications per pass and each pass is refitted in smaller
+    groups (``_pass_sizes``); every product is taken per replication, so no
+    draw depends on either size or on evaluation order.
     A replication whose re-estimation is rank deficient is not kept; its row is NaN.
     """
-    dspec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
-    for name in ("endogenous_lags", "exogenous_lags", "contemporaneous_shock"):
-        if getattr(spec, name) != getattr(dspec, name):
-            raise VarxError(f"bootstrap spec has {name} {getattr(spec, name)!r} but the design has {getattr(dspec, name)!r}")
+    spec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
     reps, T_eff, lag_cols = spec.bootstrap_reps, design.T_eff, p * k
     lags = slice(1, 1 + lag_cols)
     # intercept plus exogenous term, the same in every replication
-    exog_rows = model.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
+    exog_rows = model.exog_coefs[0 if spec.contemporaneous_shock else 1 :]
     base = model.intercept + design.Z[:, lags.stop :] @ exog_rows
     Q_F, R_F = np.linalg.qr(np.delete(design.Z, lags, axis=1))  # [const | shock columns]
     resampled = _resample_rows(spec.seed, reps, T_eff)
@@ -499,23 +509,24 @@ def _bootstrap_draws(model: VarxModel, design: Design, spec: VarxSpec) -> tuple:
     return coefs, kept
 
 
-def bootstrap_bands(model: VarxModel, design: Design, spec: VarxSpec) -> ImpulseResponse:
-    """Recursive residual bootstrap bands around the point multipliers.
+def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
+    """Recursive residual bootstrap bands around the point multipliers of ``model``, fitted to ``design``.
 
-    The multipliers of the replications ``_bootstrap_draws`` kept are taken
-    in one batched recursion. The default bands are the point estimate +/- 1
-    bootstrap standard deviation; the percentile method uses the 15.87/84.13
-    percentiles (clipped to contain the point). Replications whose
+    Horizon, shock size, replications, seed and band method are those of
+    ``design.spec``. The multipliers of the replications ``_bootstrap_draws``
+    kept are taken in one batched recursion. The default bands are the point
+    estimate +/- 1 bootstrap standard deviation; the percentile method uses
+    the 15.87/84.13 percentiles (clipped to contain the point). Replications whose
     re-estimation is rank deficient are dropped and counted in ``dropped``;
-    more than 5% failures aborts. A ``spec`` whose lag structure differs
-    from ``design.spec``'s raises VarxError.
+    more than 5% failures aborts.
     """
-    point = dynamic_multipliers(model, spec).point
-    coefs, kept = _bootstrap_draws(model, design, spec)
+    spec = design.spec
+    point = dynamic_multipliers(model, spec.horizon, spec.shock_size)
+    coefs, kept = _bootstrap_draws(model, design)
     dropped = spec.bootstrap_reps - int(kept.sum())
     if dropped > 0.05 * spec.bootstrap_reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {spec.bootstrap_reps} replications failed re-estimation")
-    _, endo, exog = _unpack(coefs[kept], design.spec, design.data.k)
+    _, endo, exog = _unpack(coefs[kept], design)
     stack = _multipliers(endo, exog, spec.horizon, spec.shock_size)  # the kept replications' responses
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
@@ -547,20 +558,11 @@ def subsample(data: TimeSeriesData, start: str | None, end: str | None) -> TimeS
     return TimeSeriesData(lo, data.X[rows], data.d[rows], data.names)
 
 
-def simulate_varx(
-    intercept,
-    endo_coefs,
-    exog_coefs,
-    d,
-    noise_sd,
-    rng,
-    burn_in: int = 50,
-    contemporaneous_shock: bool = True,
-):
+def simulate_varx(intercept, endo_coefs, exog_coefs, d, noise_sd, rng, burn_in: int = 50):
     """Simulate a VARX sample driven by the given exogenous path.
 
     ``endo_coefs`` is (p, k, k), ``exog_coefs`` (q+1, k) with row 0 the
-    contemporaneous coefficient (ignored unless the flag is set).
+    contemporaneous coefficient (zero for a model without that term).
     Burn-in periods start from zero lags, use zero exogenous input and are discarded.
     """
     intercept = np.asarray(intercept, dtype=float)
@@ -570,7 +572,7 @@ def simulate_varx(
     n = burn_in + len(d)
     d_full = np.concatenate([np.zeros(q + burn_in), d])
     drive = intercept + rng.normal(0.0, noise_sd, size=(n, intercept.shape[0]))
-    for j in range(0 if contemporaneous_shock else 1, q + 1):
+    for j in range(q + 1):
         drive = drive + exog_coefs[j] * d_full[q - j : q - j + n, None]
     return _recurse(np.zeros((p + n, intercept.shape[0])), endo_coefs, drive, p)[p + burn_in :]
 

@@ -88,8 +88,8 @@ class TestCriterion3ClosedFormMultipliers:
             residuals=np.zeros((40, 1)),
             sigma=np.zeros((1, 1)),
         )
-        irf = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=1.0, horizon=10))
-        err = np.abs(irf.point[:, 0] - 0.5 ** np.arange(11)).max()
+        psi = vx.dynamic_multipliers(model, 10, 1.0)
+        err = np.abs(psi[:, 0] - 0.5 ** np.arange(11)).max()
         assert err < 1e-12
         report(f"PASS criterion 3: closed-form multipliers, max error {err:.2e} < 1e-12")
 
@@ -103,7 +103,7 @@ class TestCriterion4EstimationRecovery:
 
     def _true_irf(self, spec):
         model = vx.VarxModel(("a", "b"), np.zeros(2), self.B_TRUE, self.C_TRUE, np.zeros((10, 2)), np.zeros((2, 2)))
-        return vx.dynamic_multipliers(model, spec).point
+        return vx.dynamic_multipliers(model, spec.horizon, spec.shock_size)
 
     def test_monte_carlo_recovery(self):
         spec = vx.VarxSpec(shock_size=1.0)
@@ -129,7 +129,7 @@ class TestCriterion4EstimationRecovery:
                     )
                 )
             )
-            est = vx.dynamic_multipliers(model, spec).point
+            est = vx.dynamic_multipliers(model, spec.horizon, spec.shock_size)
             irf_rel.append(np.abs(est - truth).max() / peak)
         mean_err = float(np.mean(coef_errs))
         worst_rel = float(max(irf_rel))
@@ -144,28 +144,26 @@ class TestCriterion4EstimationRecovery:
 class TestCriterion5BootstrapSanity:
     """Determinism, zero-residual collapse, and band ordering at 2000 reps."""
 
-    def _fit(self, noise_sd):
+    def _fit(self, noise_sd, spec):
         rng = np.random.default_rng(0)
         d = rng.normal(size=81)
         C = np.zeros((5, 1))
         C[0, 0] = 1.0
         C[1, 0] = 0.4
         X = vx.simulate_varx([0.0], [[[0.6]]], C, d, noise_sd=noise_sd, rng=rng)
-        data = vx.TimeSeriesData(pn.parse_quarter("2000Q1"), X, d)
-        design = vx.build_design(data, vx.VarxSpec())
+        design = vx.build_design(vx.TimeSeriesData(pn.parse_quarter("2000Q1"), X, d), spec)
         return vx.estimate(design), design
 
     def test_bootstrap_determinism_and_sanity(self):
         spec = vx.VarxSpec(bootstrap_reps=2000, seed=314)
-        model, design = self._fit(noise_sd=0.2)
-        a = vx.bootstrap_bands(model, design, spec)
-        b = vx.bootstrap_bands(model, design, spec)
+        model, design = self._fit(noise_sd=0.2, spec=spec)
+        a = vx.bootstrap_bands(model, design)
+        b = vx.bootstrap_bands(model, design)
         assert a.lower.tobytes() == b.lower.tobytes()
         assert a.upper.tobytes() == b.upper.tobytes()
         assert np.all(a.lower <= a.point) and np.all(a.point <= a.upper)
 
-        model0, design0 = self._fit(noise_sd=0.0)
-        z = vx.bootstrap_bands(model0, design0, vx.VarxSpec(bootstrap_reps=2000, seed=314))
+        z = vx.bootstrap_bands(*self._fit(noise_sd=0.0, spec=spec))
         width = float(np.abs(z.upper - z.lower).max())
         assert width < 1e-8
         report(
@@ -182,7 +180,7 @@ class TestCriterion6PlantedBetweenEffect:
         spec = vx.VarxSpec(bootstrap_reps=300, seed=9, shock_size=1.0)
         design = vx.build_design(data, spec)
         model = vx.estimate(design)
-        irf = vx.bootstrap_bands(model, design, spec)
+        irf = vx.bootstrap_bands(model, design)
         i_between = data.names.index("between")
         peak = int(np.argmax(np.abs(irf.point[:, i_between])))
         assert irf.lower[peak, i_between] > 0.0 or irf.upper[peak, i_between] < 0.0

@@ -303,8 +303,8 @@ class TestIrf:
 
         bands = vx.bootstrap_bands
 
-        def dropping(model, design, spec):
-            irf = bands(model, design, spec)
+        def dropping(model, design):
+            irf = bands(model, design)
             return dataclasses.replace(irf, dropped=3) if design.data.k > 1 else irf
 
         monkeypatch.setattr(vx, "bootstrap_bands", dropping)

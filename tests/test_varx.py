@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wageineq import panel as pn
@@ -81,10 +81,25 @@ class TestSpec:
         spec = vx.VarxSpec(endogenous_lags=np.int64(2), contemporaneous_shock=np.False_, shock_size=np.float32(0.5))
         assert spec.endogenous_lags == 2 and not spec.contemporaneous_shock and spec.shock_size == 0.5
 
+    @pytest.mark.parametrize("shock_size", [0, -0.0, np.float64(0)])
+    def test_zero_shock_size(self, shock_size):
+        with pytest.raises(vx.VarxError, match="^shock_size 0 moves nothing; every response would be zero$"):
+            vx.VarxSpec(shock_size=shock_size)
+
+    def test_no_shock_term(self):
+        message = "^exogenous_lags 0 with contemporaneous_shock False leaves the model no shock term$"
+        with pytest.raises(vx.VarxError, match=message):
+            vx.VarxSpec(exogenous_lags=0, contemporaneous_shock=False)
+
+    def test_shock_rules_are_checked_last_shock_size_first(self):
+        with pytest.raises(vx.VarxError, match="^shock_size 0 moves nothing"):
+            vx.VarxSpec(shock_size=0.0, exogenous_lags=0, contemporaneous_shock=False)
+        with pytest.raises(vx.VarxError, match="^horizon must be an integer >= 1, not 0$"):
+            vx.VarxSpec(horizon=0, shock_size=0.0, exogenous_lags=0, contemporaneous_shock=False)
+
     def test_seed_beyond_64_bits(self):
-        spec = vx.VarxSpec(bootstrap_reps=100, seed=2**64 + 5)
-        design = vx.build_design(pipeline_data("total"), spec)
-        bands = assert_matches_scalar(vx.estimate(design), design, spec)
+        design = vx.build_design(pipeline_data("total"), vx.VarxSpec(bootstrap_reps=100, seed=2**64 + 5))
+        bands = assert_matches_scalar(vx.estimate(design), design)
         assert np.all(bands.lower <= bands.point) and np.all(bands.point <= bands.upper)
 
 
@@ -98,12 +113,13 @@ class TestBuildDesign:
         assert design.m == 1 + 1 + 1 + 4  # const, lag, d_t, d_{t-1..t-4}
 
     def test_regressor_count_no_contemporaneous_no_exo_lags(self):
+        # a model needs a shock term (TestSpec.test_no_shock_term), so q = 0 keeps d_t
         rng = np.random.default_rng(0)
         k = 3
         data = make_data(rng.normal(size=(40, k)), rng.normal(size=40))
-        spec = vx.VarxSpec(exogenous_lags=0, contemporaneous_shock=False)
-        design = vx.build_design(data, spec)
-        assert design.m == 1 + k
+        design = vx.build_design(data, vx.VarxSpec(exogenous_lags=0))
+        assert design.m == 1 + k + 1
+        assert design.columns[-1] == "shock.lag0"
 
     def test_lag_alignment(self):
         X = np.arange(10.0)
@@ -163,7 +179,7 @@ class TestEstimate:
         Y = rng.normal(size=(T, 2))
         spec = vx.VarxSpec(exogenous_lags=1)
         columns = ("const", "x0.lag1", "x1.lag1", "shock.lag0", "shock.lag1")
-        design = vx.Design(make_data(Y, np.zeros(T)), spec, Z, Y, columns, offset=1)
+        design = vx.Design(make_data(Y, np.zeros(T)), spec, Z, Y, columns)
         if deficient:
             with pytest.raises(vx.RankError, match="^design matrix is rank deficient at column 'shock.lag1'$"):
                 vx.estimate(design)
@@ -202,33 +218,30 @@ class TestEstimate:
 class TestDynamicMultipliers:
     def test_geometric_closed_form(self):
         model = univariate_model(b=0.5, c0=1.0)
-        spec = vx.VarxSpec(shock_size=1.0)
-        irf = vx.dynamic_multipliers(model, spec)
-        expect = 0.5 ** np.arange(11)
-        assert np.allclose(irf.point[:, 0], expect, atol=1e-12)
+        psi = vx.dynamic_multipliers(model, 10, 1.0)
+        assert psi.shape == (11, 1)
+        assert np.allclose(psi[:, 0], 0.5 ** np.arange(11), atol=1e-12)
 
     def test_all_zero_coefficients(self):
         model = univariate_model(b=0.0, c0=0.0)
-        irf = vx.dynamic_multipliers(model, vx.VarxSpec())
-        assert np.all(irf.point == 0.0)
+        assert np.all(vx.dynamic_multipliers(model, 10, -0.25) == 0.0)
 
     def test_linearity_in_shock_size(self):
         model = univariate_model(b=0.7, c0=2.0)
-        unit = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=1.0))
-        quarter_cut = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=-0.25))
-        assert np.array_equal(quarter_cut.point, -0.25 * unit.point)
+        unit = vx.dynamic_multipliers(model, 10, 1.0)
+        quarter_cut = vx.dynamic_multipliers(model, 10, -0.25)
+        assert np.array_equal(quarter_cut, -0.25 * unit)
 
     def test_zero_shock_size(self):
         model = univariate_model()
-        irf = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=0.0))
-        assert np.all(irf.point == 0.0)
+        assert np.all(vx.dynamic_multipliers(model, 10, 0.0) == 0.0)
 
     def test_no_contemporaneous_term(self):
         model = univariate_model()
         model = vx.VarxModel(**{**model.__dict__, "exog_coefs": np.array([[0.0], [1.0], [0.0], [0.0], [0.0]])})
-        irf = vx.dynamic_multipliers(model, vx.VarxSpec(shock_size=1.0, contemporaneous_shock=False))
-        assert irf.point[0, 0] == 0.0
-        assert irf.point[1, 0] == 1.0
+        psi = vx.dynamic_multipliers(model, 10, 1.0)
+        assert psi[0, 0] == 0.0
+        assert psi[1, 0] == 1.0
 
     def test_stability_decay(self):
         rng = np.random.default_rng(12)
@@ -239,9 +252,7 @@ class TestDynamicMultipliers:
         X = vx.simulate_varx([0.0, 0.0], B, C, d, noise_sd=0.2, rng=rng)
         model = vx.estimate(vx.build_design(make_data(X, d), vx.VarxSpec()))
         assert vx.companion_spectral_radius(model) < 1.0
-        spec = vx.VarxSpec(horizon=40, shock_size=1.0)
-        irf = vx.dynamic_multipliers(model, spec)
-        mags = np.abs(irf.point).max(axis=1)
+        mags = np.abs(vx.dynamic_multipliers(model, 40, 1.0)).max(axis=1)
         peak = int(np.argmax(mags[5:])) + 5  # past the exogenous lag window
         assert mags[-1] < mags[peak] or np.isclose(mags[-1], 0.0, atol=1e-12)
 
@@ -320,29 +331,26 @@ class TestConsistency:
 
 
 class TestBootstrapBands:
-    def _fit(self, T=81, noise_sd=0.2, seed=21, c0=1.0):
+    def _fit(self, spec, T=81, noise_sd=0.2, seed=21, c0=1.0):
         rng = np.random.default_rng(seed)
         d = rng.normal(size=T)
         C = np.zeros((5, 1))
         C[0, 0] = c0
         C[1, 0] = 0.4
         X = vx.simulate_varx([0.0], [[[0.6]]], C, d, noise_sd=noise_sd, rng=rng)
-        data = make_data(X, d)
-        design = vx.build_design(data, vx.VarxSpec())
+        design = vx.build_design(make_data(X, d), spec)
         return vx.estimate(design), design
 
     def test_same_seed_identical(self):
-        model, design = self._fit()
-        spec = vx.VarxSpec(bootstrap_reps=100, seed=77)
-        a = vx.bootstrap_bands(model, design, spec)
-        b = vx.bootstrap_bands(model, design, spec)
+        model, design = self._fit(vx.VarxSpec(bootstrap_reps=100, seed=77))
+        a = vx.bootstrap_bands(model, design)
+        b = vx.bootstrap_bands(model, design)
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
     def test_different_seed_differs(self):
-        model, design = self._fit()
-        a = vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=100, seed=1))
-        b = vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=100, seed=2))
+        a = vx.bootstrap_bands(*self._fit(vx.VarxSpec(bootstrap_reps=100, seed=1)))
+        b = vx.bootstrap_bands(*self._fit(vx.VarxSpec(bootstrap_reps=100, seed=2)))
         assert not np.array_equal(a.lower, b.lower)
 
     def test_zero_residuals_collapse_to_point(self):
@@ -351,61 +359,40 @@ class TestBootstrapBands:
         C = np.zeros((5, 1))
         C[0, 0] = 1.0
         X = vx.simulate_varx([0.0], [[[0.5]]], C, d, noise_sd=0.0, rng=rng)
-        design = vx.build_design(make_data(X, d), vx.VarxSpec())
-        model = vx.estimate(design)
-        bands = vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=100, seed=0))
+        design = vx.build_design(make_data(X, d), vx.VarxSpec(bootstrap_reps=100, seed=0))
+        bands = vx.bootstrap_bands(vx.estimate(design), design)
         assert np.allclose(bands.lower, bands.point, atol=1e-8)
         assert np.allclose(bands.upper, bands.point, atol=1e-8)
 
     def test_band_ordering(self):
-        model, design = self._fit()
-        bands = vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=100, seed=5))
+        bands = vx.bootstrap_bands(*self._fit(vx.VarxSpec(bootstrap_reps=100, seed=5)))
         assert np.all(bands.lower <= bands.point)
         assert np.all(bands.point <= bands.upper)
 
     def test_wider_noise_wider_bands(self):
         spec = vx.VarxSpec(bootstrap_reps=200, seed=9)
-        model_lo, design_lo = self._fit(noise_sd=0.1, seed=30)
-        model_hi, design_hi = self._fit(noise_sd=0.5, seed=30)
-        lo = vx.bootstrap_bands(model_lo, design_lo, spec)
-        hi = vx.bootstrap_bands(model_hi, design_hi, spec)
+        lo = vx.bootstrap_bands(*self._fit(spec, noise_sd=0.1, seed=30))
+        hi = vx.bootstrap_bands(*self._fit(spec, noise_sd=0.5, seed=30))
         assert (hi.upper - hi.lower).mean() > (lo.upper - lo.lower).mean()
 
     def test_percentile_bands_contain_point(self):
-        model, design = self._fit()
-        spec = vx.VarxSpec(bootstrap_reps=200, seed=3, band_method="percentile")
-        bands = vx.bootstrap_bands(model, design, spec)
+        bands = vx.bootstrap_bands(*self._fit(vx.VarxSpec(bootstrap_reps=200, seed=3, band_method="percentile")))
         assert np.all(bands.lower <= bands.point)
         assert np.all(bands.point <= bands.upper)
         assert np.any(bands.upper > bands.lower)
 
-    @pytest.mark.parametrize(
-        "spec_kwargs, message",
-        [
-            ({"endogenous_lags": 3, "exogenous_lags": 0}, "endogenous_lags 3 but the design has 1"),
-            ({"exogenous_lags": 2}, "exogenous_lags 2 but the design has 4"),
-            ({"contemporaneous_shock": False}, "contemporaneous_shock False but the design has True"),
-        ],
-    )
-    def test_spec_with_another_lag_structure_is_rejected(self, spec_kwargs, message):
-        # the model and design were fitted with p = 1, q = 4 and a contemporaneous term
-        model, design = self._fit()
-        spec = vx.VarxSpec(bootstrap_reps=100, **spec_kwargs)
-        with pytest.raises(vx.VarxError, match=f"^bootstrap spec has {message}$"):
-            vx.bootstrap_bands(model, design, spec)
 
-
-def scalar_bootstrap(model, design, spec):
-    """The per-replication bootstrap loop: the reference for the batched one.
+def scalar_bootstrap(model, design):
+    """The per-replication bootstrap loop over ``design.spec``: the reference for the batched one.
 
     Regenerates, re-estimates and recomputes the multipliers one replication
     at a time. Returns the lower and upper bands, each replication's fitted
     coefficients (reps, m, k) in ``design.columns`` order, NaN where the
     refit failed, and the (reps,) mask of the refits that succeeded.
     """
-    data, dspec = design.data, design.spec
-    p, q, k = dspec.endogenous_lags, dspec.exogenous_lags, data.k
-    point = vx.dynamic_multipliers(model, spec).point
+    data, spec = design.data, design.spec
+    p, q, k = spec.endogenous_lags, spec.exogenous_lags, data.k
+    point = vx.dynamic_multipliers(model, spec.horizon, spec.shock_size)
     draws = []
     coefs, kept = np.full((spec.bootstrap_reps, design.m, k), np.nan), np.zeros(spec.bootstrap_reps, bool)
     for rep in range(spec.bootstrap_reps):
@@ -415,7 +402,7 @@ def scalar_bootstrap(model, design, spec):
             x = model.intercept + model.residuals[rows[i]]
             for j in range(1, p + 1):
                 x = x + model.endo_coefs[j - 1] @ Xb[t - j]
-            if dspec.contemporaneous_shock:
+            if spec.contemporaneous_shock:
                 x = x + model.exog_coefs[0] * data.d[t]
             for j in range(1, q + 1):
                 x = x + model.exog_coefs[j] * data.d[t - j]
@@ -427,9 +414,9 @@ def scalar_bootstrap(model, design, spec):
             continue
         kept[rep] = True
         # the design's columns: the constant, lag j's k columns for j = 1..p, then the shock columns
-        exog_rows = fit.exog_coefs[0 if dspec.contemporaneous_shock else 1 :]
+        exog_rows = fit.exog_coefs[0 if spec.contemporaneous_shock else 1 :]
         coefs[rep] = np.vstack((fit.intercept, fit.endo_coefs.swapaxes(-1, -2).reshape(p * k, k), exog_rows))
-        draws.append(vx.dynamic_multipliers(fit, spec).point)
+        draws.append(vx.dynamic_multipliers(fit, spec.horizon, spec.shock_size))
     stack = np.array(draws)
     if spec.band_method == "sd":
         sd = stack.std(axis=0, ddof=1)
@@ -439,17 +426,22 @@ def scalar_bootstrap(model, design, spec):
     return lower, upper, coefs, kept
 
 
-def assert_matches_scalar(model, design, spec):
-    lower, upper, coefs, kept = scalar_bootstrap(model, design, spec)
-    draws, drawn = vx._bootstrap_draws(model, design, spec)
+def assert_matches_scalar(model, design):
+    lower, upper, coefs, kept = scalar_bootstrap(model, design)
+    draws, drawn = vx._bootstrap_draws(model, design)
     assert np.array_equal(drawn, kept)
     np.testing.assert_allclose(draws[kept], coefs[kept], rtol=0, atol=1e-10)
     assert np.isnan(draws[~kept]).all()
-    bands = vx.bootstrap_bands(model, design, spec)
+    bands = vx.bootstrap_bands(model, design)
     np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-12)
-    assert bands.dropped == spec.bootstrap_reps - kept.sum()
+    assert bands.dropped == design.spec.bootstrap_reps - kept.sum()
     return bands
+
+
+def rebuilt(design, **changes):
+    """``design``'s data under its spec with ``changes``: the same regressors, other bootstrap settings."""
+    return vx.build_design(design.data, dataclasses.replace(design.spec, **changes))
 
 
 def pipeline_data(target, n_quarters=81):
@@ -487,9 +479,8 @@ class TestBatchedBootstrap:
         ],
     )
     def test_matches_scalar_loop(self, target, n_quarters, spec_kwargs):
-        spec = vx.VarxSpec(**spec_kwargs)
-        design = vx.build_design(pipeline_data(target, n_quarters), spec)
-        bands = assert_matches_scalar(vx.estimate(design), design, spec)
+        design = vx.build_design(pipeline_data(target, n_quarters), vx.VarxSpec(**spec_kwargs))
+        bands = assert_matches_scalar(vx.estimate(design), design)
         assert bands.dropped == 0
 
     @settings(max_examples=12, deadline=None)
@@ -502,14 +493,15 @@ class TestBatchedBootstrap:
         band_method=st.sampled_from(["sd", "percentile"]),
     )
     def test_property_matches_scalar_loop(self, k, p, q, seed, contemporaneous, band_method):
+        assume(q > 0 or contemporaneous)  # a model needs a shock term
         rng = np.random.default_rng(seed)
         B = rng.normal(0.0, 0.05, size=(p, k, k))
         B[0] += np.diag(rng.uniform(-0.5, 0.5, size=k))
         C = rng.normal(size=(q + 1, k))
+        if not contemporaneous:
+            C[0] = 0.0
         d = rng.normal(size=80)
-        X = vx.simulate_varx(
-            rng.normal(size=k), B, C, d, noise_sd=0.3, rng=rng, contemporaneous_shock=contemporaneous
-        )
+        X = vx.simulate_varx(rng.normal(size=k), B, C, d, noise_sd=0.3, rng=rng)
         spec = vx.VarxSpec(
             endogenous_lags=p,
             exogenous_lags=q,
@@ -520,19 +512,20 @@ class TestBatchedBootstrap:
             band_method=band_method,
         )
         design = vx.build_design(make_data(X, d), spec)
-        assert_matches_scalar(vx.estimate(design), design, spec)
+        assert_matches_scalar(vx.estimate(design), design)
 
     @staticmethod
-    def _sparse_residual_model(nonzero_rows, level=0.0, b=0.5):
-        """Univariate model whose regenerated sample stays exactly at ``level``
-        (the data and the intercept) until a draw hits one of its
-        ``nonzero_rows`` nonzero residuals; ``b`` is the lag coefficient.
+    def _sparse_residual_model(spec, nonzero_rows, level=0.0, b=0.5):
+        """Univariate model, with its design under ``spec`` (p = 1, q = 4), whose
+        regenerated sample stays exactly at ``level`` (the data and the
+        intercept) until a draw hits one of its ``nonzero_rows`` nonzero
+        residuals; ``b`` is the lag coefficient.
 
         An all-zero lag column makes that replication's design rank deficient,
         and so does a constant one.
         """
         rng = np.random.default_rng(17)
-        design = vx.build_design(make_data(np.full(81, level), rng.normal(size=81)), vx.VarxSpec())
+        design = vx.build_design(make_data(np.full(81, level), rng.normal(size=81)), spec)
         resid = np.zeros((design.T_eff, 1))
         resid[:nonzero_rows, 0] = 1.0
         model = vx.VarxModel(
@@ -546,38 +539,36 @@ class TestBatchedBootstrap:
         return model, design
 
     def test_rank_deficient_replications_are_dropped_and_counted(self):
-        model, design = self._sparse_residual_model(nonzero_rows=4)
-        spec = vx.VarxSpec(bootstrap_reps=400, seed=2)
-        bands = assert_matches_scalar(model, design, spec)
-        assert 0 < bands.dropped <= 0.05 * spec.bootstrap_reps
+        model, design = self._sparse_residual_model(vx.VarxSpec(bootstrap_reps=400, seed=2), nonzero_rows=4)
+        bands = assert_matches_scalar(model, design)
+        assert 0 < bands.dropped <= 0.05 * design.spec.bootstrap_reps
 
     def test_lag_column_collinear_with_the_constant_is_dropped(self):
         # x = 1 + residual: a replication that draws no nonzero residual has a
         # nonzero lag column equal to the constant column, which is partialled out
-        model, design = self._sparse_residual_model(nonzero_rows=4, level=1.0, b=0.0)
-        bands = assert_matches_scalar(model, design, vx.VarxSpec(bootstrap_reps=400, seed=2))
+        spec = vx.VarxSpec(bootstrap_reps=400, seed=2)
+        model, design = self._sparse_residual_model(spec, nonzero_rows=4, level=1.0, b=0.0)
+        bands = assert_matches_scalar(model, design)
         assert bands.dropped == 5
 
     def test_deficient_shock_columns_fail_every_replication(self):
         # an all-zero shock path leaves the fixed columns [const | shock lags] deficient
-        model, design = self._sparse_residual_model(nonzero_rows=40)
+        model, design = self._sparse_residual_model(vx.VarxSpec(bootstrap_reps=100, seed=2), nonzero_rows=40)
         data = design.data
         design = vx.build_design(vx.TimeSeriesData(data.first, data.X, np.zeros(data.T), data.names), design.spec)
-        spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
         with pytest.raises(vx.RankError):
             vx.estimate(design)
         with pytest.raises(vx.VarxError, match="bootstrap aborted: 100 of 100 replications"):
-            vx.bootstrap_bands(model, design, spec)
+            vx.bootstrap_bands(model, design)
 
     def test_too_many_failures_abort(self):
-        model, design = self._sparse_residual_model(nonzero_rows=1)
-        spec = vx.VarxSpec(bootstrap_reps=100, seed=2)
-        failures = spec.bootstrap_reps - scalar_bootstrap(model, design, spec)[3].sum()
+        model, design = self._sparse_residual_model(vx.VarxSpec(bootstrap_reps=100, seed=2), nonzero_rows=1)
+        failures = design.spec.bootstrap_reps - scalar_bootstrap(model, design)[3].sum()
         assert failures > 5
         with pytest.raises(
             vx.VarxError, match=f"bootstrap aborted: {failures} of 100 replications failed re-estimation"
         ):
-            vx.bootstrap_bands(model, design, spec)
+            vx.bootstrap_bands(model, design)
 
 
 class TestChunksAndDraws:
@@ -585,14 +576,12 @@ class TestChunksAndDraws:
 
     @staticmethod
     def _cases():
-        spec = vx.VarxSpec(bootstrap_reps=150, seed=4)
-        design = vx.build_design(pipeline_data("components"), spec)
-        yield vx.estimate(design), design, spec
-        model, design = TestBatchedBootstrap._sparse_residual_model(nonzero_rows=4)
-        yield model, design, vx.VarxSpec(bootstrap_reps=400, seed=2)
+        design = vx.build_design(pipeline_data("components"), vx.VarxSpec(bootstrap_reps=150, seed=4))
+        yield vx.estimate(design), design
+        yield TestBatchedBootstrap._sparse_residual_model(vx.VarxSpec(bootstrap_reps=400, seed=2), nonzero_rows=4)
         spec = vx.VarxSpec(bootstrap_reps=150, seed=6, endogenous_lags=2)  # p = 2, k = 5: the window product
         design = vx.build_design(pipeline_data("control", 168), spec)
-        yield vx.estimate(design), design, spec
+        yield vx.estimate(design), design
 
     @staticmethod
     def _count_calls(monkeypatch, module, name):
@@ -612,8 +601,8 @@ class TestChunksAndDraws:
         draws, inner = [], vx._bootstrap_draws  # what each bootstrap_bands call drew
         monkeypatch.setattr(vx, "_bootstrap_draws", lambda *args: draws.append(inner(*args)) or draws[-1])
         dropped = []
-        for model, design, spec in self._cases():
-            p, T_eff, reps = design.spec.endogenous_lags, design.T_eff, spec.bootstrap_reps
+        for model, design in self._cases():
+            p, T_eff, reps = design.spec.endogenous_lags, design.T_eff, design.spec.bootstrap_reps
             results = []
             draws.clear()
             # (replications per regeneration pass, per refit), varied independently
@@ -622,7 +611,7 @@ class TestChunksAndDraws:
                 vx._resample_rows.cache_clear()
                 solves.clear()
                 recursions.clear()
-                results.append(vx.bootstrap_bands(model, design, spec))
+                results.append(vx.bootstrap_bands(model, design))
                 passes = [min(regen, reps - first) for first in range(0, reps, regen)]
                 assert sum(X.shape[-2] == p + T_eff for X, *_ in recursions) == len(passes)
                 assert len(solves) == sum(-(-n // refit) for n in passes)
@@ -639,9 +628,9 @@ class TestChunksAndDraws:
 
     def test_more_reps_extend_the_draws(self):
         dropped = []
-        for model, design, spec in self._cases():
-            coefs, kept = vx._bootstrap_draws(model, design, dataclasses.replace(spec, bootstrap_reps=150))
-            more, more_kept = vx._bootstrap_draws(model, design, dataclasses.replace(spec, bootstrap_reps=300))
+        for model, design in self._cases():
+            coefs, kept = vx._bootstrap_draws(model, rebuilt(design, bootstrap_reps=150))
+            more, more_kept = vx._bootstrap_draws(model, rebuilt(design, bootstrap_reps=300))
             assert np.array_equal(more_kept[:150], kept)
             assert np.array_equal(more[:150][kept], coefs[kept])
             dropped.append(150 - kept.sum())
@@ -668,11 +657,11 @@ class TestChunksAndDraws:
         assert vx._pass_sizes(50, p, k, T_eff) == (50, min(50, sizes[1]))
 
     def test_rows_are_drawn_once_per_seed_reps_and_sample_length(self, monkeypatch):
-        model, design, spec = next(self._cases())
-        reps = spec.bootstrap_reps
+        model, design = next(self._cases())
+        spec, reps = design.spec, design.spec.bootstrap_reps
         vx._resample_rows.cache_clear()
         kernel = self._count_calls(monkeypatch, vx, "_stream_integers")
-        first = vx.bootstrap_bands(model, design, spec)
+        first = vx.bootstrap_bands(model, design)
         assert kernel == [(spec.seed, reps, design.T_eff, design.T_eff)]
         rows = vx._resample_rows(spec.seed, reps, design.T_eff)
         assert rows.shape == (reps, design.T_eff) and rows.dtype == np.uint8
@@ -681,15 +670,15 @@ class TestChunksAndDraws:
             rows[0, 0] = 0
         assert_rows_are_streams(rows, spec.seed, design.T_eff)
         kernel.clear()
-        again = vx.bootstrap_bands(model, design, spec)
+        again = vx.bootstrap_bands(model, design)
         assert kernel == [] and vx._resample_rows(spec.seed, reps, design.T_eff) is rows
         assert np.array_equal(again.lower, first.lower) and np.array_equal(again.upper, first.upper)
 
         shorter = vx.build_design(vx.subsample(design.data, design.data.quarters[1], design.data.quarters[-1]), spec)
-        vx.bootstrap_bands(vx.estimate(shorter), shorter, spec)
+        vx.bootstrap_bands(vx.estimate(shorter), shorter)
         assert kernel == [(spec.seed, reps, shorter.T_eff, shorter.T_eff)]
         kernel.clear()
-        vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=reps, seed=spec.seed + 1))
+        vx.bootstrap_bands(model, rebuilt(design, seed=spec.seed + 1))
         assert kernel == [(spec.seed + 1, reps, design.T_eff, design.T_eff)]
         assert vx._resample_rows.cache_info().misses == 3
 
@@ -804,6 +793,19 @@ class TestFirstQuarterIndex:
         with pytest.raises(vx.VarxError, match=rf"^X of shape {re.escape(str(shape))} is not \(quarters, variables\)$"):
             vx.TimeSeriesData(8000, np.zeros(shape), np.zeros(4))
 
+    def test_rejects_a_non_finite_x_naming_the_variable_and_quarter(self):
+        X = np.zeros((8, 2))
+        X[3, 1], X[5, 0] = np.nan, np.inf  # the earlier quarter is named
+        with pytest.raises(vx.VarxError, match=r"^between is nan in 2000Q4; every value must be finite$"):
+            make_data(X, np.ones(8), names=("total", "between"), start="2000Q1")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_shock_naming_the_quarter(self, value):
+        d = np.ones(8)
+        d[6] = value
+        with pytest.raises(vx.VarxError, match=rf"^shock is {value} in 2001Q3; every value must be finite$"):
+            make_data(np.zeros((8, 2)), d, start="2000Q1")
+
     @pytest.mark.parametrize("start, end", [("BADQ3", "2005Q1"), ("2000Q1", "2005Q5"), ("2000Q1", "")])
     def test_subsample_junk_label_is_a_varx_error(self, start, end):
         data = make_data(np.zeros((8, 1)), np.arange(8.0), start="2000Q1")
@@ -854,9 +856,8 @@ class TestIrfCsv:
             noise_sd=0.2,
             rng=rng,
         )
-        design = vx.build_design(make_data(X, d, names=("total", "between")), vx.VarxSpec())
-        model = vx.estimate(design)
-        irf = vx.bootstrap_bands(model, design, vx.VarxSpec(bootstrap_reps=100, seed=0))
+        design = vx.build_design(make_data(X, d, names=("total", "between")), vx.VarxSpec(bootstrap_reps=100, seed=0))
+        irf = vx.bootstrap_bands(vx.estimate(design), design)
         path = tmp_path / "irf.csv"
         vx.write_irf_csv(irf, path)
         back = vx.read_irf_csv(str(path))
