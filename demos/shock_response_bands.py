@@ -20,8 +20,8 @@ from wageineq.fixtures import synthetic_shock_series, synthetic_wage_panel
 
 panel = synthetic_wage_panel()
 shocks = synthetic_shock_series(panel.quarters)
-joined = align(panel, shocks)
-series = compute_series(joined.panel)
+panel, shocks = align(panel, shocks)
+series = compute_series(panel)
 
 # Standardize so responses read in standard deviations of the index.
 X = np.column_stack(
@@ -30,7 +30,7 @@ X = np.column_stack(
         standardize(series.between),
     ]
 )
-data = TimeSeriesData(joined.panel.first, X, joined.shocks.values, ("total", "between"))
+data = TimeSeriesData(panel.first, X, shocks.values, ("total", "between"))
 
 # 1 endogenous lag, 4 shock lags plus the same-quarter term, 10-quarter
 # horizon, responses scaled to a 25 basis point cut. The design keeps the

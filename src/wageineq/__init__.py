@@ -17,7 +17,6 @@ _EXPORTS = {
         "theil_index",
     ),
     "panel": (
-        "AlignedData",
         "GrowthSeries",
         "InequalitySeries",
         "PanelError",

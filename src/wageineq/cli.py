@@ -145,10 +145,10 @@ def run_irf(
         else:
             systems["irf_components.csv"] = list(COMPONENT_NAMES)
 
-    aligned = pn.align(_read("wage CSV", pn.parse_wage_csv, wage_csv), _read("shock CSV", pn.parse_shock_csv, shock_csv))
-    series = pn.compute_series(aligned.panel)
+    panel, shocks = pn.align(_read("wage CSV", pn.parse_wage_csv, wage_csv), _read("shock CSV", pn.parse_shock_csv, shock_csv))
+    series = pn.compute_series(panel)
     X = np.column_stack([series.total, series.within, series.between])  # in SERIES_HEADER's order
-    sample = vx.subsample(vx.TimeSeriesData(aligned.panel.first, X, aligned.shocks.values, pn.SERIES_HEADER[1:6]), start, end)
+    sample = vx.subsample(vx.TimeSeriesData(panel.first, X, shocks.values, pn.SERIES_HEADER[1:6]), start, end)
     columns = dict(zip(sample.names, sample.X.T))  # over the estimation sample, on which every system is fitted
 
     control_paths = {}

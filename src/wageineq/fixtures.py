@@ -11,7 +11,7 @@ shock series with occasional large movements.
 
 import numpy as np
 
-from .panel import CELLS, PanelError, QuarterlyPanel, ShockSeries, _run_labels, parse_quarter
+from .panel import CELLS, RACES, PanelError, QuarterlyPanel, ShockSeries, _run_labels, parse_quarter
 from .varx import TimeSeriesData, simulate_varx
 
 __all__ = [
@@ -62,7 +62,7 @@ def synthetic_wage_panel(
     frac = np.linspace(0.0, 1.0, n_quarters)
     for c, (quantile, race) in enumerate(CELLS):
         base, annual = _BASE[quantile]
-        r = ("Asian", "Black", "White").index(race)
+        r = RACES.index(race)
         mult = _RACE_START[quantile][r] + frac * (
             _RACE_END[quantile][r] - _RACE_START[quantile][r]
         )
@@ -105,7 +105,7 @@ def graded_growth_panel(
     t = np.arange(n_quarters)
     for c, (quantile, race) in enumerate(CELLS):
         base, _ = _BASE[quantile]
-        r = ("Asian", "Black", "White").index(race)
+        r = RACES.index(race)
         mult = _RACE_START[quantile][r]
         wages[:, c] = base * mult * (1.0 + rates[quantile] / 100.0) ** (t / 4.0)
     return QuarterlyPanel(parse_quarter(start), wages)

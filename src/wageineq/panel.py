@@ -50,7 +50,6 @@ __all__ = [
     "PanelError",
     "QuarterlyPanel",
     "ShockSeries",
-    "AlignedData",
     "InequalitySeries",
     "GrowthSeries",
     "parse_quarter",
@@ -321,20 +320,8 @@ def parse_shock_csv(source) -> ShockSeries:
     return ShockSeries(first, values[:, 0])
 
 
-@dataclass(frozen=True)
-class AlignedData:
-    """Panel and shock series restricted to their common quarter range."""
-
-    panel: QuarterlyPanel
-    shocks: ShockSeries
-
-    @property
-    def quarters(self) -> tuple:
-        return self.panel.quarters
-
-
-def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) -> AlignedData:
-    """Restrict both inputs to their intersection of quarters.
+def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) -> tuple:
+    """The pair (panel, shocks), each restricted to their intersection of quarters.
 
     The default lag structure needs slack beyond the lags themselves, so an
     intersection shorter than ``min_quarters`` is rejected.
@@ -343,7 +330,7 @@ def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) ->
     n = min(panel.first + panel.n_quarters, shocks.first + len(shocks.values)) - first
     if n < min_quarters:
         raise PanelError(f"panel and shock series share only {max(n, 0)} quarters; need at least {min_quarters}")
-    return AlignedData(panel.restrict(first, n), shocks.restrict(first, n))
+    return panel.restrict(first, n), shocks.restrict(first, n)
 
 
 def build_distribution(panel: QuarterlyPanel, quarter: str):
@@ -373,7 +360,6 @@ class InequalitySeries:
     between: np.ndarray = field(repr=False)
     within_share: np.ndarray = field(repr=False)
     between_share: np.ndarray = field(repr=False)
-    degenerate: np.ndarray = field(repr=False)  # True where total == 0
 
 
 def compute_series(panel: QuarterlyPanel) -> InequalitySeries:
@@ -383,9 +369,7 @@ def compute_series(panel: QuarterlyPanel) -> InequalitySeries:
     degenerate = res.total == 0.0
     within_share = np.divide(within.sum(axis=1), res.total, out=np.zeros_like(res.total), where=~degenerate)
     between_share = np.divide(res.between, res.total, out=np.ones_like(res.total), where=~degenerate)
-    return InequalitySeries(
-        panel.quarters, res.total, within, res.between, within_share, between_share, degenerate
-    )
+    return InequalitySeries(panel.quarters, res.total, within, res.between, within_share, between_share)
 
 
 @dataclass(frozen=True)
@@ -398,7 +382,6 @@ class GrowthSeries:
 
     quarters: tuple
     growth: np.ndarray = field(repr=False)
-    method: str = "yoy"
 
 
 def growth_rates(panel: QuarterlyPanel, method: str = "yoy") -> GrowthSeries:
@@ -439,7 +422,7 @@ def growth_rates(panel: QuarterlyPanel, method: str = "yoy") -> GrowthSeries:
             f"{method} growth overflows at ({panel.quarters[lag + t]}, {race}, {quantile}): "
             f"wage {w0[t, c]:.10g} -> {w1[t, c]:.10g}"
         )
-    return GrowthSeries(panel.quarters[lag:], growth, method)
+    return GrowthSeries(panel.quarters[lag:], growth)
 
 
 def standardize(series) -> np.ndarray:
@@ -517,15 +500,13 @@ def write_series_csv(series: InequalitySeries, path) -> None:
 def read_series_csv(source) -> InequalitySeries:
     """Read a decomposition series written by write_series_csv."""
     first, vals = _read_by_quarter(source, SERIES_HEADER)
-    total = vals[:, 0]
     return InequalitySeries(
         quarters=_run_labels(first, len(vals)),
-        total=total,
+        total=vals[:, 0],
         within=vals[:, 1:4],
         between=vals[:, 4],
         within_share=vals[:, 5],
         between_share=vals[:, 6],
-        degenerate=total == 0.0,
     )
 
 

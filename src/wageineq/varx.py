@@ -207,16 +207,11 @@ class VarxModel:
     fitted design's ``spec``: p = len(endo_coefs), q = len(exog_coefs) - 1.
     """
 
-    names: tuple
     intercept: np.ndarray = field(repr=False)
     endo_coefs: np.ndarray = field(repr=False)  # (p, k, k)
     exog_coefs: np.ndarray = field(repr=False)  # (q+1, k)
     residuals: np.ndarray = field(repr=False)  # (T_eff, k)
     sigma: np.ndarray = field(repr=False)  # (k, k)
-
-    @property
-    def k(self) -> int:
-        return len(self.names)
 
 
 def _unpack(coefs: np.ndarray, design: Design):
@@ -257,7 +252,7 @@ def estimate(design: Design) -> VarxModel:
     resid = Y - Z @ coefs
     sigma = resid.T @ resid / (T_eff - m)
     intercept, endo, exog = _unpack(coefs, design)
-    return VarxModel(design.data.names, intercept, endo, exog, resid, sigma)
+    return VarxModel(intercept, endo, exog, resid, sigma)
 
 
 @dataclass(frozen=True)
@@ -534,7 +529,7 @@ def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
     else:
         lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
         lower, upper = np.minimum(lower, point), np.maximum(upper, point)
-    return ImpulseResponse(model.names, point, lower, upper, dropped)
+    return ImpulseResponse(design.data.names, point, lower, upper, dropped)
 
 
 def subsample(data: TimeSeriesData, start: str | None, end: str | None) -> TimeSeriesData:
@@ -558,13 +553,14 @@ def subsample(data: TimeSeriesData, start: str | None, end: str | None) -> TimeS
     return TimeSeriesData(lo, data.X[rows], data.d[rows], data.names)
 
 
-def simulate_varx(intercept, endo_coefs, exog_coefs, d, noise_sd, rng, burn_in: int = 50):
+def simulate_varx(intercept, endo_coefs, exog_coefs, d, noise_sd, rng):
     """Simulate a VARX sample driven by the given exogenous path.
 
     ``endo_coefs`` is (p, k, k), ``exog_coefs`` (q+1, k) with row 0 the
     contemporaneous coefficient (zero for a model without that term).
-    Burn-in periods start from zero lags, use zero exogenous input and are discarded.
+    50 burn-in periods start from zero lags, use zero exogenous input and are discarded.
     """
+    burn_in = 50
     intercept = np.asarray(intercept, dtype=float)
     endo_coefs = np.asarray(endo_coefs, dtype=float)
     exog_coefs = np.asarray(exog_coefs, dtype=float)
@@ -595,7 +591,11 @@ def write_irf_csv(irf: ImpulseResponse, path) -> None:
 
 
 def read_irf_csv(source) -> ImpulseResponse:
-    """Read a response table written by write_irf_csv."""
+    """Read a response table written by write_irf_csv.
+
+    ``dropped`` is 0: the CSV holds no count of dropped replications; a
+    run's ``manifest.json`` does.
+    """
     entries = {}  # (horizon, variable) -> the row's point, lower and upper
     for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
         h_text, name = h_text.strip(), name.strip()

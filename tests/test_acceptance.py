@@ -81,7 +81,6 @@ class TestCriterion3ClosedFormMultipliers:
         exog = np.zeros((5, 1))
         exog[0, 0] = 1.0
         model = vx.VarxModel(
-            names=("x",),
             intercept=np.zeros(1),
             endo_coefs=np.array([[[0.5]]]),
             exog_coefs=exog,
@@ -102,7 +101,7 @@ class TestCriterion4EstimationRecovery:
     A0_TRUE = np.array([0.1, -0.1])
 
     def _true_irf(self, spec):
-        model = vx.VarxModel(("a", "b"), np.zeros(2), self.B_TRUE, self.C_TRUE, np.zeros((10, 2)), np.zeros((2, 2)))
+        model = vx.VarxModel(np.zeros(2), self.B_TRUE, self.C_TRUE, np.zeros((10, 2)), np.zeros((2, 2)))
         return vx.dynamic_multipliers(model, spec.horizon, spec.shock_size)
 
     def test_monte_carlo_recovery(self):

@@ -340,9 +340,9 @@ class TestIrf:
         )
         assert result.exit_code == 0, result.output
         radius = json.loads((out / "manifest.json").read_text())["companion_spectral_radius"]["irf_total.csv"]
-        aligned = pn.align(pn.parse_wage_csv(wages), pn.parse_shock_csv(shocks))
-        series = pn.compute_series(aligned.panel)
-        data = vx.TimeSeriesData(aligned.panel.first, pn.standardize(series.total), aligned.shocks.values, ("total",))
+        panel, shock_series = pn.align(pn.parse_wage_csv(wages), pn.parse_shock_csv(shocks))
+        series = pn.compute_series(panel)
+        data = vx.TimeSeriesData(panel.first, pn.standardize(series.total), shock_series.values, ("total",))
         spec = vx.VarxSpec(bootstrap_reps=100, seed=42)
         exact = vx.companion_spectral_radius(vx.estimate(vx.build_design(data, spec)))
         assert radius == float("%.10g" % exact)
@@ -572,6 +572,17 @@ class TestDemo:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: [Errno ") and result.output.count("\n") == 1, result.output
         assert str(out) in result.output
+
+    def test_failing_stage_is_reported_and_the_rest_run(self, runner, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("wageineq.cli.run_growth", broken)
+        result = runner.invoke(main, ["demo", "--out", str(tmp_path / "d"), "--reps", "100"])
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS  fixtures", "PASS  decompose", "PASS  irf", "FAIL  growth"]
+        assert lines[-1] == "FAIL  growth: RuntimeError: disk on fire"
 
     def test_cli_exit_zero(self, runner, tmp_path):
         result = runner.invoke(main, ["demo", "--out", str(tmp_path / "d"), "--reps", "100"])

@@ -1,6 +1,7 @@
 """Tests for panel ingestion, alignment, and series construction."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ class TestAlign:
         quarters = make_quarters("2000Q1", 81)  # 2000Q1..2020Q1
         panel = synthetic_wage_panel(81)
         shocks = synthetic_shock_series(quarters)
-        joined = pn.align(panel, shocks)
+        joined, _ = pn.align(panel, shocks)
         assert len(joined.quarters) == 81
 
     def test_disjoint_ranges_error(self):
@@ -133,7 +134,7 @@ class TestAlign:
     def test_panel_subset_of_shocks(self):
         panel = synthetic_wage_panel(30, start="2001Q1")
         shocks = synthetic_shock_series(make_quarters("2000Q1", 60))
-        joined = pn.align(panel, shocks)
+        joined, _ = pn.align(panel, shocks)
         assert joined.quarters == panel.quarters
 
     def test_short_intersection_error(self):
@@ -146,23 +147,23 @@ class TestAlign:
     def test_shocks_start_inside_panel(self):
         panel = synthetic_wage_panel(40, start="2000Q1")
         shocks = synthetic_shock_series(make_quarters("2003Q2", 60))
-        joined = pn.align(panel, shocks)
-        assert joined.quarters == make_quarters("2003Q2", 27)
-        assert np.array_equal(joined.panel.wages, panel.wages[13:])
-        assert np.array_equal(joined.shocks.values, shocks.values[:27])
+        joined_panel, joined_shocks = pn.align(panel, shocks)
+        assert joined_panel.quarters == joined_shocks.quarters == make_quarters("2003Q2", 27)
+        assert np.array_equal(joined_panel.wages, panel.wages[13:])
+        assert np.array_equal(joined_shocks.values, shocks.values[:27])
 
     def test_partial_overlap_at_panel_start(self):
         panel = synthetic_wage_panel(40, start="2005Q1")
         shocks = synthetic_shock_series(make_quarters("2000Q1", 45))  # ends 2011Q1
-        joined = pn.align(panel, shocks)
-        assert joined.quarters == make_quarters("2005Q1", 25)
-        assert np.array_equal(joined.panel.wages, panel.wages[:25])
-        assert np.array_equal(joined.shocks.values, shocks.values[20:])
+        joined_panel, joined_shocks = pn.align(panel, shocks)
+        assert joined_panel.quarters == joined_shocks.quarters == make_quarters("2005Q1", 25)
+        assert np.array_equal(joined_panel.wages, panel.wages[:25])
+        assert np.array_equal(joined_shocks.values, shocks.values[20:])
 
     def test_overlap_one_short_of_minimum(self):
         panel = synthetic_wage_panel(30, start="2000Q1")
         shocks = synthetic_shock_series(make_quarters("2002Q4", 30))  # overlap 2002Q4..2007Q2
-        assert len(pn.align(panel, shocks, min_quarters=19).quarters) == 19
+        assert len(pn.align(panel, shocks, min_quarters=19)[0].quarters) == 19
         with pytest.raises(pn.PanelError, match="share only 19 quarters; need at least 20"):
             pn.align(panel, shocks)
 
@@ -239,10 +240,10 @@ class TestFirstQuarterIndex:
             with pytest.raises(pn.PanelError, match=f"^{want}$"):
                 pn.align(panel, shocks, min_quarters)
             return
-        joined = pn.align(panel, shocks, min_quarters)
-        assert joined.quarters == joined.shocks.quarters == want[0]
-        assert np.array_equal(joined.panel.wages, want[1])
-        assert np.array_equal(joined.shocks.values, want[2])
+        joined_panel, joined_shocks = pn.align(panel, shocks, min_quarters)
+        assert joined_panel.quarters == joined_shocks.quarters == want[0]
+        assert np.array_equal(joined_panel.wages, want[1])
+        assert np.array_equal(joined_shocks.values, want[2])
 
     def test_run_past_9999q4(self):
         last = pn.parse_quarter("9999Q4")
@@ -288,6 +289,34 @@ class TestFirstQuarterIndex:
             pn.QuarterlyPanel(0, np.full((2, 9), "x"))
         with pytest.raises(pn.PanelError, match="^shock values must be numeric: float\\(\\) argument"):
             pn.ShockSeries(0, [{}, {}])
+
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 9, 1), (9,), (0, 9)])
+    def test_rejects_a_wage_grid_not_quarters_by_nine(self, shape):
+        message = rf"^wage grid shape {re.escape(str(shape))} is not \(quarters, 9\) with a quarter or more$"
+        with pytest.raises(pn.PanelError, match=message):
+            pn.QuarterlyPanel(0, np.full(shape, 700.0))
+
+    @pytest.mark.parametrize("wage", [0.0, -700.0, np.nan, np.inf])
+    def test_rejects_a_wage_not_positive_and_finite(self, wage):
+        wages = np.full((3, 9), 700.0)
+        wages[1, 4] = wage
+        with pytest.raises(pn.PanelError, match="^panel wages must be positive and finite$"):
+            pn.QuarterlyPanel(0, wages)
+
+    def test_rejects_shock_values_not_one_per_quarter(self):
+        with pytest.raises(pn.PanelError, match=r"^shock values of shape \(2, 2\) are not one per quarter$"):
+            pn.ShockSeries(0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_shock(self, value):
+        with pytest.raises(pn.PanelError, match="^shock values must be finite$"):
+            pn.ShockSeries(0, [0.1, value, 0.2])
+
+    def test_shock_series_needs_contiguous_labels(self):
+        quarters = make_quarters("2000Q1", 4)
+        assert synthetic_shock_series(quarters).quarters == quarters
+        with pytest.raises(pn.PanelError, match=r"^quarters 2000Q1\.\.2000Q4 are not one contiguous run$"):
+            synthetic_shock_series(("2000Q1", "2000Q3", "2000Q4"))
 
     def test_quarters_is_derived(self):
         panel = synthetic_wage_panel(4)
@@ -371,7 +400,6 @@ class TestComputeSeries:
         assert np.all(series.total == 0.0)
         assert np.all(series.within_share == 0.0)
         assert np.all(series.between_share == 1.0)
-        assert np.all(series.degenerate)
 
     def test_equal_races_within_zero(self):
         text = wage_csv_text(
@@ -466,6 +494,11 @@ class TestStandardize:
     def test_zero_variance(self):
         with pytest.raises(DomainError, match="zero-variance"):
             pn.standardize([5, 5, 5])
+
+    @pytest.mark.parametrize("series", [[5.0], []])
+    def test_needs_two_observations(self, series):
+        with pytest.raises(DomainError, match="^standardize needs at least 2 observations$"):
+            pn.standardize(series)
 
 
 class TestCsvRoundTrips:

@@ -80,6 +80,10 @@ class TestPartition:
         with pytest.raises(DomainError, match="at least 2 groups"):
             Partition(["a", "a", "a"])
 
+    def test_needs_an_index(self):
+        with pytest.raises(DomainError, match="^partition must cover at least one index$"):
+            Partition([])
+
     def test_groups_in_first_appearance_order(self):
         part = Partition(["b", "a", "b", "c"])
         assert part.groups == ("b", "a", "c")

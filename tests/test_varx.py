@@ -23,7 +23,6 @@ def univariate_model(b=0.5, c0=1.0, q=4, resid_len=40):
     exog = np.zeros((q + 1, 1))
     exog[0, 0] = c0
     return vx.VarxModel(
-        names=("x",),
         intercept=np.zeros(1),
         endo_coefs=np.array([[[b]]]),
         exog_coefs=exog,
@@ -529,7 +528,6 @@ class TestBatchedBootstrap:
         resid = np.zeros((design.T_eff, 1))
         resid[:nonzero_rows, 0] = 1.0
         model = vx.VarxModel(
-            names=("x0",),
             intercept=np.full(1, level),
             endo_coefs=np.array([[[b]]]),
             exog_coefs=np.zeros((5, 1)),
@@ -783,6 +781,11 @@ class TestFirstQuarterIndex:
         assert data.X.shape == (5, 1)
         assert data.names == ("x0",)
 
+    @pytest.mark.parametrize("names", [("total",), ("total", "between", "extra")])
+    def test_rejects_a_name_count_unlike_x_columns(self, names):
+        with pytest.raises(vx.VarxError, match="^one name per endogenous variable required$"):
+            vx.TimeSeriesData(8000, np.zeros((4, 2)), np.zeros(4), names)
+
     def test_one_row_x_is_one_quarter(self):
         with pytest.raises(vx.VarxError, match=r"^X has 1 rows but d has shape \(5,\)$"):
             vx.TimeSeriesData(8000, np.zeros((1, 5)), np.zeros(5))
@@ -877,3 +880,15 @@ class TestIrfCsvValidation:
     def test_rejects_bad_header(self):
         with pytest.raises(vx.VarxError, match="header"):
             vx.read_irf_csv(io.StringIO("h,variable,point,lower,upper\n0,total,1,0,2\n"))
+
+    def test_rejects_a_header_without_rows(self):
+        with pytest.raises(vx.VarxError, match="^IRF CSV contains no data rows$"):
+            vx.read_irf_csv(io.StringIO(self.HEADER))
+
+    @pytest.mark.parametrize("rows, missing", [
+        ("0,total,1,0,2\n2,total,1,0,2\n", "horizon 1, variable total"),  # a horizon skipped
+        ("0,total,1,0,2\n0,between,1,0,2\n1,total,1,0,2\n", "horizon 1, variable between"),
+    ])
+    def test_rejects_a_missing_entry(self, rows, missing):
+        with pytest.raises(vx.VarxError, match=f"^missing IRF entry for {missing}$"):
+            vx.read_irf_csv(io.StringIO(self.HEADER + rows))
