@@ -24,7 +24,6 @@ if __name__ == "__main__":
     gc.disable()  # before numpy and click load; see entry()
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -34,8 +33,7 @@ import numpy as np
 from . import panel as pn
 from .theil import DomainError
 
-# varx is imported inside the commands that fit a model, so decompose and
-# growth never load it.
+# varx and json are imported only where they are used, so decompose and growth load neither.
 
 COMPONENT_NAMES = pn.SERIES_HEADER[2:6]  # the three within terms and between
 
@@ -50,6 +48,7 @@ def _apply_config(ctx, param, path):
     """Make a JSON config file the command's defaults, so explicit flags still win."""
     if path is None:
         return
+    import json
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
@@ -129,6 +128,8 @@ def run_irf(
     the between term, jointly by default or one univariate system per
     component with per_component.
     """
+    import json
+
     from . import varx as vx
 
     targets = list(dict.fromkeys(targets))  # a repeated target is run once

@@ -107,8 +107,8 @@ class QuarterlyPanel:
 
     def __post_init__(self):
         object.__setattr__(self, "wages", _numeric(self.wages, "panel wages"))
-        if self.wages.shape[1:] != (9,) or not len(self.wages):
-            raise PanelError(f"wage grid shape {self.wages.shape} is not (quarters, 9) with a quarter or more")
+        if self.wages.shape[1:] != (9,):
+            raise PanelError(f"wage grid shape {self.wages.shape} is not (quarters, 9)")
         object.__setattr__(self, "quarters", _run_labels(self.first, len(self.wages)))
         if not np.all(np.isfinite(self.wages)) or np.any(self.wages <= 0):
             raise PanelError("panel wages must be positive and finite")
@@ -164,7 +164,9 @@ def _numeric(values, what) -> np.ndarray:
 
 
 def _run_labels(first, n: int, error=PanelError) -> tuple:
-    """Labels of the n quarters from index first; rejects a run outside 0000Q1..9999Q4 (index 39999)."""
+    """Labels of the n quarters from index first, under the one rule for a run: one quarter or more, in 0000Q1..9999Q4."""
+    if n < 1:
+        raise error(f"a run of quarters needs one quarter or more, not {n}")
     if not isinstance(first, (int, np.integer)) or not 0 <= first <= 40000 - n:
         raise error(f"{n} quarters cannot start at quarter index {first!r}")
     return tuple(map(format_quarter, range(first, first + n)))
@@ -320,16 +322,17 @@ def parse_shock_csv(source) -> ShockSeries:
     return ShockSeries(first, values[:, 0])
 
 
-def align(panel: QuarterlyPanel, shocks: ShockSeries, min_quarters: int = 20) -> tuple:
+def align(panel: QuarterlyPanel, shocks: ShockSeries) -> tuple:
     """The pair (panel, shocks), each restricted to their intersection of quarters.
 
-    The default lag structure needs slack beyond the lags themselves, so an
-    intersection shorter than ``min_quarters`` is rejected.
+    Raises PanelError, naming both spans, only when they share no quarter;
+    how many quarters a fit needs is the fit's own rule (varx.estimate).
     """
     first = max(panel.first, shocks.first)
     n = min(panel.first + panel.n_quarters, shocks.first + len(shocks.values)) - first
-    if n < min_quarters:
-        raise PanelError(f"panel and shock series share only {max(n, 0)} quarters; need at least {min_quarters}")
+    if n < 1:
+        spans = [f"{run.quarters[0]}..{run.quarters[-1]}" for run in (panel, shocks)]
+        raise PanelError(f"panel {spans[0]} and shock series {spans[1]} share no quarter")
     return panel.restrict(first, n), shocks.restrict(first, n)
 
 

@@ -173,10 +173,8 @@ def build_design(data: TimeSeriesData, spec: VarxSpec) -> Design:
     offset = max(p, q)
     T_eff = T - offset
     if T_eff < k * p + q + 2:
-        raise VarxError(
-            f"insufficient observations: {T} quarters leave {T_eff} usable rows, "
-            f"need at least {k * p + q + 2}"
-        )
+        rows = f"{T_eff} usable rows" if T_eff > 0 else f"no usable row after {offset} lag quarters"
+        raise VarxError(f"insufficient observations: {T} quarters leave {rows}, need at least {k * p + q + 2}")
     columns = ["const"]
     blocks = [np.ones((T_eff, 1))]
     for j in range(1, p + 1):
@@ -239,10 +237,8 @@ def estimate(design: Design) -> VarxModel:
     Z, Y = design.Z, design.Y
     T_eff, m = Z.shape
     if T_eff < m + 10:
-        raise VarxError(
-            f"effective sample of {T_eff} rows is below the floor of {m + 10} "
-            f"for {m} regressors"
-        )
+        raise VarxError(f"sample {design.data.quarters[0]}..{design.data.quarters[-1]}: effective sample of {T_eff} "
+                        f"rows is below the floor of {m + 10} for {m} regressors")
     R = np.linalg.qr(np.concatenate((Z, Y), axis=1), mode="r")
     R, QtY = R[:m, :m], R[:m, m:]  # Z's R factor, whose column norms are Z's, and Q^T Y
     deficient = np.abs(np.diag(R)) < np.finfo(float).eps * np.linalg.norm(R, axis=0).max() * T_eff

@@ -890,22 +890,42 @@ class TestEstimationSample:
         assert len(outputs["flags"]) == 5
         assert outputs["flags"] == outputs["cut"]
 
+    def test_short_overlap_meets_only_the_fit_floor(self, runner, tmp_path):
+        """An 18-quarter overlap is aligned whole; each fit's T_eff >= m + 10 floor decides if it runs."""
+        panel = synthetic_wage_panel()  # 2000Q1..2020Q1
+        wages, shocks = tmp_path / "wages.csv", tmp_path / "shocks.csv"
+        pn.write_wage_csv(panel, wages)
+        pn.write_shock_csv(synthetic_shock_series(panel.quarters).restrict(panel.first, 18), shocks)  # to 2004Q2
+        args = ["irf", "--wages", str(wages), "--shocks", str(shocks)]
+        total_only = ["--out", str(tmp_path / "total"), "--target", "total", "--exo-lags", "0", "--reps", "100"]
+        result = runner.invoke(main, args + total_only)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "total" / "manifest.json").read_text())
+        assert (manifest["effective_sample"], manifest["regressors"]) == ({"irf_total.csv": 17}, {"irf_total.csv": 3})
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "default")])
+        assert result.exit_code == 1
+        assert result.output == "Error: sample 2000Q1..2004Q2: effective sample of 14 rows is below the floor of 17 for 7 regressors\n"
+        assert not (tmp_path / "default").exists()
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs ``python -m wageineq.cli ARGS`` in this process and prints what it
 # imported, the BLAS thread setting it saw and the state it left the garbage
-# collector in. Site hooks may import tempfile at start-up, so it is dropped
-# first and only the command's own imports count.
+# collector in. Site hooks may import tempfile or json at start-up, so they
+# are dropped first and only the command's own imports count; json, which
+# prints the report, is imported only once the modules are listed.
 RUN_CLI = """
-import gc, json, os, runpy, sys
+import gc, os, runpy, sys
 sys.modules.pop("tempfile", None)
+sys.modules.pop("json", None)
 sys.argv = ["wageineq", *sys.argv[1:]]
 try:
     runpy.run_module("wageineq.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-mods = [m for m in ("numpy", "numpy.random", "tempfile", "hashlib", "wageineq.varx") if m in sys.modules]
+mods = [m for m in ("numpy", "numpy.random", "tempfile", "hashlib", "json", "wageineq.varx") if m in sys.modules]
+import json
 print(json.dumps({"code": code, "threads": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": mods,
                   "gc_enabled": gc.isenabled(), "gc_frozen": gc.get_freeze_count()}))
 """
@@ -942,7 +962,7 @@ class TestStartup:
         report = json.loads(run_python(RUN_CLI, *args))
         assert report["code"] == 0
         assert "numpy" in report["modules"] and not {"numpy.random", "tempfile"} & set(report["modules"])
-        assert "wageineq.varx" in report["modules"]
+        assert {"wageineq.varx", "json"} <= set(report["modules"])
 
     def test_program_runs_with_the_collector_off_and_the_imports_frozen(self, inputs, tmp_path):
         wages, shocks = inputs
@@ -966,10 +986,11 @@ class TestStartup:
 
     @pytest.mark.parametrize("command", ["decompose", "growth"])
     def test_panel_commands_leave_varx_and_hashlib_unloaded(self, inputs, tmp_path, command):
+        """Nor json, which only a config file and the irf manifest need."""
         wages, _ = inputs
         report = json.loads(run_python(RUN_CLI, command, "--wages", str(wages), "--out", str(tmp_path / "out")))
         assert report["code"] == 0
-        assert "numpy" in report["modules"] and not {"wageineq.varx", "hashlib"} & set(report["modules"])
+        assert "numpy" in report["modules"] and not {"wageineq.varx", "hashlib", "json"} & set(report["modules"])
 
     def test_cli_pins_blas_to_one_thread(self):
         assert json.loads(run_python(RUN_CLI, "--help"))["threads"] == "1"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wageineq import panel as pn
+from wageineq import varx as vx
 from wageineq.fixtures import (
     constant_panel,
     graded_growth_panel,
@@ -128,7 +129,7 @@ class TestAlign:
     def test_disjoint_ranges_error(self):
         panel = synthetic_wage_panel(30, start="2000Q1")
         shocks = synthetic_shock_series(make_quarters("2015Q1", 30))
-        with pytest.raises(pn.PanelError, match="share only 0 quarters"):
+        with pytest.raises(pn.PanelError, match="^panel 2000Q1..2007Q2 and shock series 2015Q1..2022Q2 share no quarter$"):
             pn.align(panel, shocks)
 
     def test_panel_subset_of_shocks(self):
@@ -137,12 +138,48 @@ class TestAlign:
         joined, _ = pn.align(panel, shocks)
         assert joined.quarters == panel.quarters
 
+    @pytest.mark.parametrize("panel_first, shock_first, spans", [
+        (8000, 8010, "panel 2000Q1..2001Q1 and shock series 2002Q3..2003Q3"),  # disjoint
+        (8000, 8005, "panel 2000Q1..2001Q1 and shock series 2001Q2..2002Q2"),  # adjacent
+        (8005, 8000, "panel 2001Q2..2002Q2 and shock series 2000Q1..2001Q1"),  # adjacent, shocks first
+    ])
+    def test_runs_sharing_no_quarter(self, panel_first, shock_first, spans):
+        panel = pn.QuarterlyPanel(panel_first, np.full((5, 9), 700.0))
+        with pytest.raises(pn.PanelError, match=f"^{spans} share no quarter$"):
+            pn.align(panel, pn.ShockSeries(shock_first, np.zeros(5)))
+
+    @staticmethod
+    def fit_total(panel, shocks):
+        """align, then fit the total index under the default spec, as ``irf --target total`` does."""
+        panel, shocks = pn.align(panel, shocks)
+        data = vx.TimeSeriesData(panel.first, pn.compute_series(panel).total, shocks.values, ("total",))
+        return vx.estimate(vx.build_design(data, vx.VarxSpec()))
+
     def test_short_intersection_error(self):
+        """align keeps a 2-quarter overlap whole; the fit, not align, rejects it."""
         panel = synthetic_wage_panel(30, start="2000Q1")
         shocks = synthetic_shock_series(make_quarters("2007Q1", 30))
-        with pytest.raises(pn.PanelError, match="at least 20"):
-            pn.align(panel, shocks)
+        joined_panel, joined_shocks = pn.align(panel, shocks)
+        assert joined_panel.quarters == joined_shocks.quarters == ("2007Q1", "2007Q2")
+        with pytest.raises(vx.VarxError, match="^insufficient observations: 2 quarters leave no usable row after 4 lag quarters, need at least 7$"):
+            self.fit_total(panel, shocks)
 
+    def test_overlap_one_short_of_minimum(self):
+        """The default total fit needs T_eff >= 7 + 10 rows, so 21 quarters: 20 fall one short, 21 fit."""
+        panel = synthetic_wage_panel(30, start="2000Q1")
+        shocks = synthetic_shock_series(make_quarters("2002Q3", 30))  # overlap 2002Q3..2007Q2
+        assert len(pn.align(panel, shocks)[0].quarters) == 20
+        message = "^sample 2002Q3..2007Q2: effective sample of 16 rows is below the floor of 17 for 7 regressors$"
+        with pytest.raises(vx.VarxError, match=message):
+            self.fit_total(panel, shocks)
+        shocks = synthetic_shock_series(make_quarters("2002Q2", 30))  # overlap 2002Q2..2007Q2
+        assert self.fit_total(panel, shocks).residuals.shape == (17, 1)
+
+    def test_a_single_shared_quarter_is_kept(self):
+        panel = pn.QuarterlyPanel(8000, np.full((5, 9), 700.0))
+        joined_panel, joined_shocks = pn.align(panel, pn.ShockSeries(8004, [0.5, 0.25]))
+        assert joined_panel.quarters == joined_shocks.quarters == ("2001Q1",)
+        assert joined_shocks.values.tolist() == [0.5]
 
     def test_shocks_start_inside_panel(self):
         panel = synthetic_wage_panel(40, start="2000Q1")
@@ -160,17 +197,10 @@ class TestAlign:
         assert np.array_equal(joined_panel.wages, panel.wages[:25])
         assert np.array_equal(joined_shocks.values, shocks.values[20:])
 
-    def test_overlap_one_short_of_minimum(self):
-        panel = synthetic_wage_panel(30, start="2000Q1")
-        shocks = synthetic_shock_series(make_quarters("2002Q4", 30))  # overlap 2002Q4..2007Q2
-        assert len(pn.align(panel, shocks, min_quarters=19)[0].quarters) == 19
-        with pytest.raises(pn.PanelError, match="share only 19 quarters; need at least 20"):
-            pn.align(panel, shocks)
-
     def test_shocks_after_panel_end(self):
         panel = synthetic_wage_panel(30, start="2000Q1")
         shocks = synthetic_shock_series(make_quarters("2010Q1", 30))
-        with pytest.raises(pn.PanelError, match="share only 0 quarters"):
+        with pytest.raises(pn.PanelError, match="^panel 2000Q1..2007Q2 and shock series 2010Q1..2017Q2 share no quarter$"):
             pn.align(panel, shocks)
 
     def test_restrict_to_inner_run(self):
@@ -212,12 +242,15 @@ class TestFirstQuarterIndex:
     """Panels and shock series hold their first quarter index; labels are derived from it."""
 
     @staticmethod
-    def label_align(panel, shocks, min_quarters):
+    def label_align(panel, shocks):
         """align by intersecting quarter labels: the reference for the index arithmetic."""
         shock_quarters = set(shocks.quarters)
         common = [t for t, q in enumerate(panel.quarters) if q in shock_quarters]
-        if len(common) < min_quarters:
-            return f"panel and shock series share only {len(common)} quarters; need at least {min_quarters}"
+        if not common:
+            return (
+                f"panel {panel.quarters[0]}..{panel.quarters[-1]} and shock series "
+                f"{shocks.quarters[0]}..{shocks.quarters[-1]} share no quarter"
+            )
         offset = shocks.quarters.index(panel.quarters[common[0]])
         return (
             tuple(panel.quarters[t] for t in common),
@@ -230,17 +263,16 @@ class TestFirstQuarterIndex:
         n_panel=st.integers(1, 30),
         n_shocks=st.integers(1, 30),
         offset=st.integers(-35, 35),
-        min_quarters=st.sampled_from([1, 5, 20]),
     )
-    def test_align_matches_label_intersection(self, n_panel, n_shocks, offset, min_quarters):
+    def test_align_matches_label_intersection(self, n_panel, n_shocks, offset):
         panel = synthetic_wage_panel(n_panel, "2000Q1")
         shocks = pn.ShockSeries(panel.first + offset, np.arange(n_shocks, dtype=float))
-        want = self.label_align(panel, shocks, min_quarters)
+        want = self.label_align(panel, shocks)
         if isinstance(want, str):
-            with pytest.raises(pn.PanelError, match=f"^{want}$"):
-                pn.align(panel, shocks, min_quarters)
+            with pytest.raises(pn.PanelError, match=f"^{re.escape(want)}$"):
+                pn.align(panel, shocks)
             return
-        joined_panel, joined_shocks = pn.align(panel, shocks, min_quarters)
+        joined_panel, joined_shocks = pn.align(panel, shocks)
         assert joined_panel.quarters == joined_shocks.quarters == want[0]
         assert np.array_equal(joined_panel.wages, want[1])
         assert np.array_equal(joined_shocks.values, want[2])
@@ -252,6 +284,16 @@ class TestFirstQuarterIndex:
             pn.QuarterlyPanel(last, np.full((2, 9), 700.0))
         with pytest.raises(pn.PanelError, match="quarter index -1"):
             pn.ShockSeries(-1, np.zeros(2))
+
+    @pytest.mark.parametrize("first", [0, 8000, 39999, 40000, -1])
+    def test_an_empty_run_is_rejected(self, first):
+        message = "^a run of quarters needs one quarter or more, not 0$"
+        with pytest.raises(pn.PanelError, match=message):
+            pn.ShockSeries(first, [])
+        panel = synthetic_wage_panel(4)
+        for run in (panel, synthetic_shock_series(panel.quarters)):
+            with pytest.raises(pn.PanelError, match=message):
+                run.restrict(panel.first + 1, 0)
 
     @pytest.mark.parametrize("first", [2000.0, "2000Q1", None])
     def test_first_must_be_an_integer(self, first):
@@ -292,7 +334,9 @@ class TestFirstQuarterIndex:
 
     @pytest.mark.parametrize("shape", [(3, 8), (3, 9, 1), (9,), (0, 9)])
     def test_rejects_a_wage_grid_not_quarters_by_nine(self, shape):
-        message = rf"^wage grid shape {re.escape(str(shape))} is not \(quarters, 9\) with a quarter or more$"
+        message = rf"^wage grid shape {re.escape(str(shape))} is not \(quarters, 9\)$"
+        if shape == (0, 9):
+            message = "^a run of quarters needs one quarter or more, not 0$"
         with pytest.raises(pn.PanelError, match=message):
             pn.QuarterlyPanel(0, np.full(shape, 700.0))
 

@@ -131,8 +131,12 @@ class TestBuildDesign:
 
     def test_too_short(self):
         data = make_data(np.arange(7.0), np.zeros(7))
-        with pytest.raises(vx.VarxError, match="insufficient"):
+        with pytest.raises(vx.VarxError, match="^insufficient observations: 7 quarters leave 3 usable rows, need at least 7$"):
             vx.build_design(data, vx.VarxSpec())
+        for T in (3, 4):  # no row is left after the max(p, q) = 4 lag quarters
+            message = f"^insufficient observations: {T} quarters leave no usable row after 4 lag quarters, need at least 7$"
+            with pytest.raises(vx.VarxError, match=message):
+                vx.build_design(make_data(np.arange(T, dtype=float), np.zeros(T)), vx.VarxSpec())
 
 
 class TestEstimate:
@@ -210,7 +214,8 @@ class TestEstimate:
     def test_degrees_of_freedom_floor(self):
         rng = np.random.default_rng(6)
         data = make_data(rng.normal(size=18), rng.normal(size=18))
-        with pytest.raises(vx.VarxError, match="floor"):
+        message = "^sample 1980Q1..1984Q2: effective sample of 14 rows is below the floor of 17 for 7 regressors$"
+        with pytest.raises(vx.VarxError, match=message):
             vx.estimate(vx.build_design(data, vx.VarxSpec()))
 
 
@@ -767,6 +772,10 @@ class TestFirstQuarterIndex:
     def test_rejects_a_first_index_out_of_range_or_not_an_integer(self, first):
         with pytest.raises(vx.VarxError, match="cannot start at quarter index"):
             vx.TimeSeriesData(first, np.zeros((4, 2)), np.zeros(4))
+
+    def test_rejects_an_empty_run(self):
+        with pytest.raises(vx.VarxError, match="^a run of quarters needs one quarter or more, not 0$"):
+            vx.TimeSeriesData(8000, np.empty((0, 1)), [])
 
     def test_last_quarter_index_is_accepted(self):
         assert vx.TimeSeriesData(40000 - 4, np.zeros((4, 2)), np.zeros(4)).quarters[-1] == "9999Q4"
