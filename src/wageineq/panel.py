@@ -182,32 +182,43 @@ def _run_slice(run, first: int, n: int) -> slice:
     return slice(t, t + n)
 
 
-def _read_rows(source, header, error):
-    """Yield (line number, unstripped fields) for each data row of a CSV, one row at a time.
+def _source_lines(source, error) -> list:
+    """The lines of a path, read as UTF-8 with their line endings, or of an open text file.
 
-    ``source`` is a path or an open text file. A UTF-8 byte-order mark before
-    the header is ignored, the stripped header must equal ``header``, blank
-    rows are skipped and every other row must have one field per header
-    column. Any failure, a ``csv.Error`` included, raises ``error`` naming the
-    row. A row's line number is that of the line on which it ends.
+    Text that is not UTF-8 raises ``error``.
     """
     opened = isinstance(source, (str, os.PathLike))
-    with open(source, "r", encoding="utf-8", newline="") if opened else contextlib.nullcontext(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if first:
-                first[0] = first[0].removeprefix("\ufeff")
-            if first is None or tuple(h.strip() for h in first) != tuple(header):
-                raise error(f"bad CSV header {first}; expected {','.join(header)}")
-            width = len(header)
-            for row in reader:
-                if len(row) == width:  # every header has two or more columns, so such a row is not blank
-                    yield reader.line_num, row
-                elif row and (len(row) > 1 or row[0].strip()):  # not blank
-                    raise error(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
-        except csv.Error as exc:
-            raise error(f"row {reader.line_num}: {exc}") from None
+    try:
+        with open(source, "r", encoding="utf-8", newline="") if opened else contextlib.nullcontext(source) as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}") from None
+
+
+def _read_rows(lines, header, error):
+    """Yield (line number, unstripped fields) for each data row of a CSV's lines, one row at a time.
+
+    A UTF-8 byte-order mark before the header is ignored, the stripped header
+    must equal ``header``, blank rows are skipped and every other row must
+    have one field per header column. Any failure, a ``csv.Error`` included,
+    raises ``error`` naming the row. A row's line number is that of the line
+    on which it ends.
+    """
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, None)
+        if first:
+            first[0] = first[0].removeprefix("\ufeff")
+        if first is None or tuple(h.strip() for h in first) != tuple(header):
+            raise error(f"bad CSV header {first}; expected {','.join(header)}")
+        width = len(header)
+        for row in reader:
+            if len(row) == width:  # every header has two or more columns, so such a row is not blank
+                yield reader.line_num, row
+            elif row and (len(row) > 1 or row[0].strip()):  # not blank
+                raise error(f"row {reader.line_num}: expected {width} fields, got {len(row)}")
+    except csv.Error as exc:
+        raise error(f"row {reader.line_num}: {exc}") from None
 
 
 def _number(text, lineno, name, error=PanelError) -> float:
@@ -261,7 +272,7 @@ def _contiguous(qindices) -> tuple:
 def _read_by_quarter(source, header):
     """First quarter index and (T, m) values of a CSV with one row per quarter."""
     rows = {}  # quarter index -> the row's values
-    for lineno, (quarter, *fields) in _read_rows(source, header, PanelError):
+    for lineno, (quarter, *fields) in _read_rows(_source_lines(source, PanelError), header, PanelError):
         quarter = quarter.strip()
         qidx = _quarter(quarter, lineno)
         if qidx in rows:
@@ -274,25 +285,85 @@ def _read_by_quarter(source, header):
 def _read_cells(source, header, positive=False):
     """First quarter index and (T, 9) grid of a quarter,race,quantile,value CSV.
 
-    Rows may arrive in any order; every quarter needs all 9 cells once.
+    Rows may arrive in any order; every quarter needs all 9 cells once. A
+    file in the plain form the writers write is parsed in one numpy pass; any
+    other is read row by row, which names the first faulty row.
     """
+    lines = _source_lines(source, PanelError)
+    plain = _plain_cells(lines, header, positive)
+    return plain if plain is not None else _cells_by_row(lines, header, positive)
+
+
+# the plain form's fields, each one character wider than its longest label, so that a longer label is cut to no label
+_PLAIN_CELL = np.dtype([("quarter", "U7"), ("race", "U6"), ("quantile", "U3"), ("value", "f8")])
+
+
+def _plain_cells(lines, header, positive):
+    """What _cells_by_row returns for a plain CSV's lines, else None.
+
+    Plain is the form the writers write: the exact header, then rows of four
+    unquoted fields, the exact YYYYQn, race and quantile labels and a finite
+    value (a positive one if ``positive``), on lines no longer than csv's
+    field limit, with every cell of a contiguous run of quarters once. For
+    any other lines, None leaves the reading, and the naming of a fault, to
+    the row loop.
+    """
+    head = ",".join(header)
+    if len(lines) < 2 or lines[0] not in {bom + head + end for bom in ("", "\ufeff") for end in ("\n", "\r\n")}:
+        return None
+    data = lines[1:]
+    text = "".join(data)
+    # csv rejects a field over its limit; numpy's fields drop a trailing NUL; loadtxt warns on no rows
+    if max(map(len, data)) > csv.field_size_limit() or "\0" in text or not text.strip():
+        return None
+    try:
+        rows = np.loadtxt(data, dtype=_PLAIN_CELL, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:  # a row without 4 fields, a value that is no number, or a line ending inside a row
+        return None
+    chars = np.ascontiguousarray(rows["quarter"]).view(np.int32).reshape(-1, 7)  # code points
+    digits, number = chars[:, :4] - ord("0"), chars[:, 5] - ord("0")
+    race, quantile, values = _codes(rows["race"], RACES), _codes(rows["quantile"], QUANTILES), rows["value"]
+    if not (
+        ((digits >= 0) & (digits <= 9)).all()
+        and (chars[:, 4] == ord("Q")).all()
+        and ((number >= 1) & (number <= 4)).all()
+        and (chars[:, 6] == 0).all()
+        and (race >= 0).all()
+        and (quantile >= 0).all()
+        and np.isfinite(values).all()
+        and (not positive or (values > 0).all())
+    ):
+        return None
+    qidx = digits @ np.array([4000, 400, 40, 4]) + number - 1
+    first = int(qidx.min())
+    n = int(qidx.max()) - first + 1
+    if len(values) != n * len(CELLS):
+        return None
+    grid = np.full(n * len(CELLS), np.nan)  # with 9n rows, a cell left NaN means another came twice
+    grid[len(CELLS) * (qidx - first) + len(RACES) * quantile + race] = values
+    return None if np.isnan(grid).any() else (first, grid.reshape(n, len(CELLS)))
+
+
+def _codes(column, labels) -> np.ndarray:
+    """Each entry's index in labels, -1 where it is none of them."""
+    code = np.full(len(column), -1)
+    for i, label in enumerate(labels):
+        code[column == label] = i
+    return code
+
+
+def _cells_by_row(lines, header, positive):
+    """_read_cells on a CSV's lines, one row at a time; errors name the first faulty row."""
     name = header[3]
-    quarter_index, cell_index = {}, {}  # raw labels seen -> quarter index, raw (race, quantile) seen -> cell
     values = {}  # 9 * quarter index + cell -> value
-    for lineno, (quarter, race, quantile, text) in _read_rows(source, header, PanelError):
-        qidx = quarter_index.get(quarter)
-        if qidx is None:
-            qidx = quarter_index[quarter] = _quarter(quarter.strip(), lineno)
-        cell = cell_index.get((race, quantile))
-        if cell is None:
-            cell = cell_index[race, quantile] = _cell(race.strip(), quantile.strip(), lineno)
-        text = text.strip()
+    for lineno, (quarter, race, quantile, text) in _read_rows(lines, header, PanelError):
+        quarter, race, quantile, text = quarter.strip(), race.strip(), quantile.strip(), text.strip()
+        key = 9 * _quarter(quarter, lineno) + _cell(race, quantile, lineno)
         value = _number(text, lineno, name)
         if positive and value <= 0:
             raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
-        key = 9 * qidx + cell
         if key in values:
-            raise PanelError(f"row {lineno}: duplicate cell ({quarter.strip()}, {race.strip()}, {quantile.strip()})")
+            raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
         values[key] = value
     keys = np.fromiter(values, np.int64, len(values))
     first, n = _contiguous(keys // 9)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .panel import PanelError, _number, _read_rows, _run_labels, _write_grid, parse_quarter
+from .panel import PanelError, _number, _read_rows, _run_labels, _source_lines, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -593,7 +593,7 @@ def read_irf_csv(source) -> ImpulseResponse:
     run's ``manifest.json`` does.
     """
     entries = {}  # (horizon, variable) -> the row's point, lower and upper
-    for lineno, (h_text, name, *val_texts) in _read_rows(source, _IRF_HEADER, VarxError):
+    for lineno, (h_text, name, *val_texts) in _read_rows(_source_lines(source, VarxError), _IRF_HEADER, VarxError):
         h_text, name = h_text.strip(), name.strip()
         digits = h_text.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):  # int() also takes '+1', '1_0' and non-ASCII digits

@@ -40,13 +40,25 @@ def inputs(tmp_path):
     return wages, shocks
 
 
-def assert_field_limit_error_names_the_file(runner, tmp_path, command):
-    """``command`` fails on a wage CSV with an over-long field in one line naming the file."""
+def assert_wage_error_names_the_file(runner, tmp_path, command, content, message):
+    """``command`` fails on a wage CSV holding the bytes ``content`` in one line naming the file and ``message``."""
     bad = tmp_path / "bad.csv"
-    bad.write_text("quarter,race,quantile,wage\n2000Q1,Asian,D1," + "1" * 131_073 + "\n")
+    bad.write_bytes(content)
     result = runner.invoke(main, [command, "--wages", str(bad), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
-    assert result.output == f"Error: wage CSV {bad}: row 2: field larger than field limit (131072)\n"
+    assert result.output == f"Error: wage CSV {bad}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def assert_field_limit_error_names_the_file(runner, tmp_path, command):
+    """``command`` fails on a wage CSV with an over-long field in one line naming the file."""
+    content = b"quarter,race,quantile,wage\n2000Q1,Asian,D1," + b"1" * 131_073 + b"\n"
+    assert_wage_error_names_the_file(runner, tmp_path, command, content, "row 2: field larger than field limit (131072)")
+
+
+def assert_not_utf8_error_names_the_file(runner, tmp_path, command):
+    content = b"quarter,race,quantile,wage\n2000Q1,Asian,D1,1\xff\n"
+    assert_wage_error_names_the_file(runner, tmp_path, command, content, "not UTF-8 text: byte 0xff: invalid start byte")
 
 
 class TestDecompose:
@@ -78,6 +90,9 @@ class TestDecompose:
     def test_csv_error_is_reported_on_one_line(self, runner, tmp_path):
         assert_field_limit_error_names_the_file(runner, tmp_path, "decompose")
 
+    def test_text_that_is_not_utf8_is_reported_on_one_line(self, runner, tmp_path):
+        assert_not_utf8_error_names_the_file(runner, tmp_path, "decompose")
+
     def test_missing_wages_flag(self, runner):
         result = runner.invoke(main, ["decompose"])
         assert result.exit_code != 0
@@ -104,6 +119,9 @@ class TestDecompose:
 class TestGrowth:
     def test_csv_error_is_reported_on_one_line(self, runner, tmp_path):
         assert_field_limit_error_names_the_file(runner, tmp_path, "growth")
+
+    def test_text_that_is_not_utf8_is_reported_on_one_line(self, runner, tmp_path):
+        assert_not_utf8_error_names_the_file(runner, tmp_path, "growth")
 
     def test_writes_growth_csv(self, runner, inputs, tmp_path):
         wages, _ = inputs
@@ -523,6 +541,19 @@ class TestIrf:
         )
         shocks.write_text("quarter,shock\n2000Q1,0.5\n2000Q2,abc\n")
         assert run(wages, shocks) == f"Error: shock CSV {shocks}: row 3: non-numeric shock 'abc'\n"
+
+    @pytest.mark.parametrize("which", ["wage CSV", "shock CSV", "control series"])
+    def test_text_that_is_not_utf8_names_the_file(self, runner, inputs, tmp_path, which):
+        wages, shocks = inputs
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((wages if which == "wage CSV" else shocks).read_bytes() + b"2010Q1,\xff\n")
+        args = ["irf", "--wages", str(bad if which == "wage CSV" else wages),
+                "--shocks", str(bad if which == "shock CSV" else shocks), "--out", str(tmp_path / "o")]
+        if which == "control series":
+            args += ["--control", str(bad)]
+        result = runner.invoke(main, args + self.ARGS)
+        assert result.exit_code == 1 and not (tmp_path / "o").exists()
+        assert result.output == f"Error: {which} {bad}: not UTF-8 text: byte 0xff: invalid start byte\n"
 
     def test_config_file_with_flag_override(self, runner, inputs, tmp_path):
         wages, shocks = inputs

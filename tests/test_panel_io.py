@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wageineq.fixtures import synthetic_shock_series, synthetic_wage_panel
 
 
 # ---------------------------------------------------------------------------
-# Test-only references: the reader and writers without label caches or column formatting.
+# Test-only references: the reader and writers without the plain pass or column formatting.
 
 
 def scalar_rows(source, header, error):
@@ -118,15 +119,21 @@ def scalar_write_irf(irf, path):
 
 
 # ---------------------------------------------------------------------------
-# Random CSV inputs: shuffled, padded, blank rows, lower-case labels, one corruption.
+# Random CSV inputs: shuffled, and either plain (as the writers write) or padded, quoted, with
+# blank rows and lower-case labels; one corruption.
 
+# the corruptions after "gap" target the plain pass's guards
 CELL_FAULTS = (None, "label", "race", "quantile", "non_numeric", "non_finite", "non_positive",
-               "duplicate", "dropped", "extra_field", "short_field", "gap")
+               "duplicate", "dropped", "extra_field", "short_field", "gap",
+               "over_limit", "cut_label", "comment", "whitespace_row", "bare_cr", "quarter_number",
+               "replaced", "no_rows")
 QUARTER_FAULTS = (None, "label", "non_numeric", "non_finite", "duplicate", "dropped",
-                  "extra_field", "short_field", "gap")
+                  "extra_field", "short_field", "gap",
+                  "over_limit", "cut_label", "comment", "whitespace_row", "bare_cr", "quarter_number",
+                  "replaced", "no_rows")
 VALUE_FAULTS = {
-    "non_numeric": ("abc", "", "1.2.3", "0x10", "1_0", "\u0661", "1\uff10"),
-    "non_finite": ("inf", "nan", "-inf", "1e999"),
+    "non_numeric": ("abc", "", "1.2.3", "0x10", "1_0", "1_5", "\u0661", "\u0661\u0665", "1\uff10"),
+    "non_finite": ("inf", "nan", "-inf", "1e999", "1e400"),
     "non_positive": ("0", "-1.5", "-0"),
 }
 
@@ -145,7 +152,8 @@ def field_text(draw, text):
 
 @st.composite
 def csv_case(draw, cells):
-    """(header, text) for a wage-style (cells=True) or one-row-per-quarter CSV."""
+    """(header, text, plain, fault) for a wage-style (cells=True) or one-row-per-quarter CSV."""
+    plain = draw(st.booleans())
     n_quarters = draw(st.integers(1, 5))
     start = draw(st.integers(1990 * 4, 1992 * 4))
     quarters = [start + t for t in range(n_quarters)]
@@ -156,7 +164,8 @@ def csv_case(draw, cells):
     else:
         header = draw(st.sampled_from((pn._SHOCK_HEADER, pn.SERIES_HEADER)))
         rows = [[q, *(repr(draw(st.floats(-10.0, 10.0))) for _ in header[1:])] for q in quarters]
-    rows = [[pn.format_quarter(q).replace("Q", draw(st.sampled_from("Qq"))), *rest] for q, *rest in rows]
+    rows = [[pn.format_quarter(q).replace("Q", "Q" if plain else draw(st.sampled_from("Qq"))), *rest]
+            for q, *rest in rows]
     rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
     fault = draw(st.sampled_from(CELL_FAULTS if cells else QUARTER_FAULTS))
     at = draw(st.integers(0, len(rows) - 1))
@@ -177,15 +186,35 @@ def csv_case(draw, cells):
         rows[at].append("9")
     elif fault == "short_field":
         rows[at].pop()
-    elif fault == "gap" and n_quarters >= 3:
+    elif fault == "gap" and n_quarters < 3:
+        fault = None
+    elif fault == "gap":
         gone = {pn.format_quarter(q) for q in draw(st.sets(st.sampled_from(quarters[1:-1]), min_size=1))}
         rows = [r for r in rows if r[0].upper() not in gone]
-    lines = [",".join(field_text(draw, f) for f in row) for row in rows]
-    for _ in range(draw(st.integers(0, 2))):
+    elif fault == "over_limit":  # a value that parses as a number once past csv's field limit
+        rows[at][-1] = "0" * csv.field_size_limit() + rows[at][-1]
+    elif fault == "cut_label":  # one character past the longest label, as 2000Q1x, Asianx or D1x
+        rows[at][draw(st.integers(0, 2 if cells else 0))] += "x"
+    elif fault == "comment":
+        rows[at][0] = "#" + rows[at][0]
+    elif fault == "bare_cr":
+        rows[at][-1] = rows[at][-1][:1] + "\r" + rows[at][-1][1:]
+    elif fault == "quarter_number":
+        rows[at][0] = rows[at][0][:5] + draw(st.sampled_from("05"))
+    elif fault == "replaced" and len(rows) == 1:
+        fault = None
+    elif fault == "replaced":  # a duplicate that leaves a cell or quarter missing
+        rows[at] = list(rows[(at + draw(st.integers(1, len(rows) - 1))) % len(rows)])
+    elif fault == "no_rows":
+        rows = []
+    lines = [",".join(row if plain else (field_text(draw, f) for f in row)) for row in rows]
+    for _ in range(0 if plain else draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    if fault == "whitespace_row":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from((" ", "\t", " \t "))))
     eol = draw(st.sampled_from(("\n", "\r\n")))
     text = ",".join(header) + eol + eol.join(lines) + draw(st.sampled_from(("", eol)))
-    return header, text
+    return header, text, plain, fault
 
 
 def outcome(read, text, newline, *args):
@@ -203,16 +232,16 @@ def assert_same_outcome(got, want):
         assert not isinstance(got[0], type), got
         assert got[0] == want[0]
         assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
-        assert np.array_equal(got[1], want[1])
+        assert got[1].tobytes() == want[1].tobytes()  # bit for bit: -0.0 is not 0.0
 
 
 class TestBlockColumnarReader:
-    """The row reader with its label caches equals the reference, error for error."""
+    """The reader, by its plain pass or row by row, equals the reference, error for error."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=csv_case(cells=True), newline=st.sampled_from(("\n", "")), positive=st.booleans())
     def test_cells_match_scalar_reference(self, case, newline, positive):
-        header, text = case
+        header, text, *_ = case
         header = header if positive else pn._GROWTH_HEADER
         text = text.replace("wage", header[3], 1)
         want = outcome(scalar_read_cells, text, newline, header, positive)
@@ -222,10 +251,37 @@ class TestBlockColumnarReader:
     @settings(max_examples=300, deadline=None)
     @given(case=csv_case(cells=False), newline=st.sampled_from(("\n", "")))
     def test_by_quarter_matches_scalar_reference(self, case, newline):
-        header, text = case
+        header, text, *_ = case
         want = outcome(scalar_read_by_quarter, text, newline, header)
         got = outcome(pn._read_by_quarter, text, newline, header)
         assert_same_outcome(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_case(cells=True), newline=st.sampled_from(("\n", "")), positive=st.booleans())
+    def test_plain_pass_is_the_row_loop_or_declines(self, case, newline, positive):
+        header, text, plain, fault = case
+        header = header if positive else pn._GROWTH_HEADER
+        text = text.replace("wage", header[3], 1)
+        got = pn._plain_cells(list(io.StringIO(text, newline=newline)), header, positive)
+        if plain and (fault is None or (fault == "non_positive" and not positive)):
+            assert got is not None
+        if got is not None:
+            by_row = outcome(lambda fh, *args: pn._cells_by_row(list(fh), *args), text, newline, header, positive)
+            assert_same_outcome(got, by_row)
+
+    def test_plain_pass_takes_what_the_writers_write(self, tmp_path):
+        panel = synthetic_wage_panel(40, "1979Q1")
+        pn.write_wage_csv(panel, tmp_path / "wages.csv")
+        pn.write_growth_csv(pn.growth_rates(panel, "log_qoq"), tmp_path / "growth.csv")
+        # csv.writer rows with f"{v:.10g}" values: the benchmark's input format
+        scalar_write_cells(tmp_path / "rows.csv", pn._WAGE_HEADER, panel.quarters, panel.wages)
+        for name, header, positive in (
+            ("wages.csv", pn._WAGE_HEADER, True), ("growth.csv", pn._GROWTH_HEADER, False), ("rows.csv", pn._WAGE_HEADER, True)
+        ):
+            lines = pn._source_lines(tmp_path / name, pn.PanelError)
+            got = pn._plain_cells(lines, header, positive)
+            assert got is not None, name
+            assert_same_outcome(got, pn._cells_by_row(lines, header, positive))
 
     def cells_text(self, quarters, value="1.5"):
         return "quarter,race,quantile,wage\n" + "".join(
@@ -293,6 +349,28 @@ class TestBlockColumnarReader:
         with pytest.raises(pn.PanelError, match=rf"^row 3: non-numeric shock '{value}'$"):
             pn.parse_shock_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0" * 131_072 + "1.5", r"field larger than field limit \(131072\)"),  # a number, past csv's limit
+            ("inf", "wage must be finite, got inf"),
+            ("nan", "wage must be finite, got nan"),
+            ("1e400", "wage must be finite, got 1e400"),
+            ("0", "wage must be positive, got 0"),
+        ],
+        ids=["over_limit", "inf", "nan", "1e400", "zero"],
+    )
+    def test_plain_rows_the_plain_pass_declines(self, value, message):
+        text = self.cells_text(["2000Q1"]).replace("2000Q1,White,D9,1.5", f"2000Q1,White,D9,{value}")
+        with pytest.raises(pn.PanelError, match=f"^row 10: {message}$"):
+            pn.parse_wage_csv(io.StringIO(text))
+
+    def test_blank_data_lines_are_no_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on input with no data
+            with pytest.raises(pn.PanelError, match="^CSV contains no data rows$"):
+                pn.parse_wage_csv(io.StringIO("quarter,race,quantile,wage\n\n\r\n"))
+
     def test_non_ascii_space_around_a_value_is_stripped(self):
         text = self.cells_text(["2000Q1"]).replace("2000Q1,White,D9,1.5", "2000Q1,White,D9,\u00a02.5\u3000")
         assert pn.parse_wage_csv(io.StringIO(text)).wage("2000Q1", "White", "D9") == 2.5
@@ -336,6 +414,25 @@ class TestBlockColumnarReader:
         assert isinstance(want[0], type)
         assert outcome(pn._read_cells, text, "", pn._WAGE_HEADER, True) == want
 
+    @pytest.mark.parametrize(
+        "row, alias",
+        [
+            ("2000Q2,Asian,D1", "2000X2,Asian,D1"),
+            ("2000Q2,Asian,D1", "2000Q2x,Asian,D1"),  # as wide as the quarter field, so not cut
+            ("2000Q2,Asian,D1", "1999Q6,Asian,D1"),  # quarter index 4 * 1999 + 5
+            ("2000Q1,Asian,D1", "199:Q1,Asian,D1"),  # ':' follows '9', so 199: reads as year 2000
+            ("2000Q1,White,D1", "2000Q1,Hispanic,Q3"),  # cell 3 * 1 - 1, as if Hispanic came before Asian
+            ("2000Q1,Asian,D9", "2000Q2,Asian,D5"),  # cell 9 - 3, as if D5 came before D1
+            ("2000Q1,White,D1", "2000Q1,White\0,D1"),  # numpy drops a trailing NUL
+        ],
+    )
+    def test_labels_that_alias_a_cell_are_errors(self, row, alias):
+        # each alias gives a plain pass without one of its label checks a full grid
+        text = self.cells_text(["2000Q1", "2000Q2"]).replace(row + ",", alias + ",")
+        want = outcome(scalar_read_cells, text, "", pn._WAGE_HEADER, True)
+        assert isinstance(want[0], type)
+        assert outcome(pn._read_cells, text, "", pn._WAGE_HEADER, True) == want
+
     def test_byte_order_mark(self, tmp_path):
         text = "\ufeff" + self.cells_text(["2000Q1", "2000Q2"])
         path = tmp_path / "wages.csv"
@@ -350,6 +447,27 @@ class TestBlockColumnarReader:
     def test_byte_order_mark_only_before_the_header(self):
         with pytest.raises(pn.PanelError, match=r"row 2: malformed quarter label '\\ufeff2000Q1'"):
             pn.parse_shock_csv(io.StringIO("quarter,shock\n\ufeff2000Q1,0.5\n"))
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "read, header, error",
+        [
+            (pn.parse_wage_csv, pn._WAGE_HEADER, pn.PanelError),
+            (pn.read_growth_csv, pn._GROWTH_HEADER, pn.PanelError),
+            (pn.parse_shock_csv, pn._SHOCK_HEADER, pn.PanelError),
+            (pn.read_series_csv, pn.SERIES_HEADER, pn.PanelError),
+            (vx.read_irf_csv, ("horizon", "variable", "point", "lower", "upper"), vx.VarxError),
+        ],
+        ids=["wage", "growth", "shock", "series", "irf"],
+    )
+    def test_reader_raises_its_own_error(self, read, header, error, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(",".join(header).encode() + b"\n2000Q1,\xff\n")
+        with pytest.raises(error, match=r"^not UTF-8 text: byte 0xff: invalid start byte$"):
+            read(path)
+        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(error, match="^not UTF-8 text: "):
+            read(fh)
 
 
 class TestPanelWage:
