@@ -32,6 +32,7 @@ _NUMBER = "%.10g"  # the format of every number the CSV writers write
 _WAGE_HEADER = ("quarter", "race", "quantile", "wage")
 _SHOCK_HEADER = ("quarter", "shock")
 _GROWTH_HEADER = ("quarter", "race", "quantile", "growth_pct")
+_CELL_KEYS = tuple((race, quantile) for quantile, race in CELLS)  # the cell CSVs' race,quantile fields
 SERIES_HEADER = (
     "quarter",
     "total",
@@ -185,14 +186,17 @@ def _run_slice(run, first: int, n: int) -> slice:
 def _source_lines(source, error) -> list:
     """The lines of a path, read as UTF-8 with their line endings, or of an open text file.
 
-    Text that is not UTF-8 raises ``error``.
+    Text that is not UTF-8, and a file opened in binary mode, raise ``error``.
     """
     opened = isinstance(source, (str, os.PathLike))
     try:
         with open(source, "r", encoding="utf-8", newline="") if opened else contextlib.nullcontext(source) as fh:
-            return list(fh)
+            lines = list(fh)
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}") from None
+    if lines and not isinstance(lines[0], str):
+        raise error(f"expected lines of text, got {type(lines[0]).__name__}: open the file in text mode")
+    return lines
 
 
 def _read_rows(lines, header, error):
@@ -221,9 +225,9 @@ def _read_rows(lines, header, error):
         raise error(f"row {reader.line_num}: {exc}") from None
 
 
-def _number(text, lineno, name, error=PanelError) -> float:
-    """The finite float of a CSV field, else ``error`` naming the row and column; unlike float(),
-    rejects '_' separators and non-ASCII digits."""
+def _number(text, lineno, name, positive=False, error=PanelError) -> float:
+    """The finite float of a CSV field, a positive one if ``positive``, else ``error`` naming the row
+    and column; unlike float(), rejects '_' separators and non-ASCII digits."""
     try:
         if not text.isascii() or "_" in text:
             raise ValueError
@@ -232,6 +236,8 @@ def _number(text, lineno, name, error=PanelError) -> float:
         raise error(f"row {lineno}: non-numeric {name} {text!r}") from None
     if not math.isfinite(value):
         raise error(f"row {lineno}: {name} must be finite, got {text}")
+    if positive and value <= 0:
+        raise error(f"row {lineno}: {name} must be positive, got {text}")
     return value
 
 
@@ -240,14 +246,6 @@ def _quarter(label, lineno) -> int:
         return parse_quarter(label)
     except PanelError as exc:
         raise PanelError(f"row {lineno}: {exc}") from None
-
-
-def _cell(race, quantile, lineno) -> int:
-    if race not in RACES:
-        raise PanelError(f"row {lineno}: unknown race {race!r}")
-    if quantile not in QUANTILES:
-        raise PanelError(f"row {lineno}: unknown quantile {quantile!r}")
-    return CELLS.index((quantile, race))
 
 
 def _contiguous(qindices) -> tuple:
@@ -269,44 +267,26 @@ def _contiguous(qindices) -> tuple:
     return first, len(present)
 
 
-def _read_by_quarter(source, header):
-    """First quarter index and (T, m) values of a CSV with one row per quarter."""
-    rows = {}  # quarter index -> the row's values
-    for lineno, (quarter, *fields) in _read_rows(_source_lines(source, PanelError), header, PanelError):
-        quarter = quarter.strip()
-        qidx = _quarter(quarter, lineno)
-        if qidx in rows:
-            raise PanelError(f"row {lineno}: duplicate quarter {quarter}")
-        rows[qidx] = [_number(f.strip(), lineno, name) for f, name in zip(fields, header[1:])]
-    first, n = _contiguous(np.fromiter(rows, np.int64, len(rows)))
-    return first, np.array([rows[q] for q in range(first, first + n)])
+def _read_grid(source, header, keys, positive=False):
+    """First quarter index and (T, len(keys) * values per row) values of a CSV as _write_grid writes it.
 
-
-def _read_cells(source, header, positive=False):
-    """First quarter index and (T, 9) grid of a quarter,race,quantile,value CSV.
-
-    Rows may arrive in any order; every quarter needs all 9 cells once. A
-    file in the plain form the writers write is parsed in one numpy pass; any
-    other is read row by row, which names the first faulty row.
+    ``header`` and ``keys`` are _write_grid's: each quarter needs one row per
+    key, in any order. A file in the writers' own layout is parsed in one
+    numpy pass; any other is read row by row, which names the first faulty row.
     """
     lines = _source_lines(source, PanelError)
-    plain = _plain_cells(lines, header, positive)
-    return plain if plain is not None else _cells_by_row(lines, header, positive)
+    plain = _plain_grid(lines, header, keys, positive)
+    return plain if plain is not None else _grid_by_row(lines, header, keys, positive)
 
 
-# the plain form's fields, each one character wider than its longest label, so that a longer label is cut to no label
-_PLAIN_CELL = np.dtype([("quarter", "U7"), ("race", "U6"), ("quantile", "U3"), ("value", "f8")])
+def _plain_grid(lines, header, keys, positive):
+    """What _grid_by_row returns for a CSV's lines in the writers' layout, else None.
 
-
-def _plain_cells(lines, header, positive):
-    """What _cells_by_row returns for a plain CSV's lines, else None.
-
-    Plain is the form the writers write: the exact header, then rows of four
-    unquoted fields, the exact YYYYQn, race and quantile labels and a finite
-    value (a positive one if ``positive``), on lines no longer than csv's
-    field limit, with every cell of a contiguous run of quarters once. For
-    any other lines, None leaves the reading, and the naming of a fault, to
-    the row loop.
+    The layout is the exact header, then unquoted rows quarter by quarter,
+    one per key in ``keys`` order, with exact labels and finite values (positive
+    ones if ``positive``), on lines no longer than csv's field limit. For any
+    other lines, None leaves the reading, and the naming of a fault, to the
+    row loop.
     """
     head = ",".join(header)
     if len(lines) < 2 or lines[0] not in {bom + head + end for bom in ("", "\ufeff") for end in ("\n", "\r\n")}:
@@ -316,80 +296,76 @@ def _plain_cells(lines, header, positive):
     # csv rejects a field over its limit; numpy's fields drop a trailing NUL; loadtxt warns on no rows
     if max(map(len, data)) > csv.field_size_limit() or "\0" in text or not text.strip():
         return None
+    # each label field is one character wider than its longest label, so that a longer label is cut to no label
+    width = max((len(label) for key in keys for label in key), default=0) + 1
+    per_row = len(header) - 1 - len(keys[0])
+    dtype = [("quarter", "U7"), ("key", f"U{width}", (len(keys[0]),)), ("values", "f8", (per_row,))]
     try:
-        rows = np.loadtxt(data, dtype=_PLAIN_CELL, delimiter=",", comments=None, quotechar=None, ndmin=1)
-    except ValueError:  # a row without 4 fields, a value that is no number, or a line ending inside a row
+        rows = np.loadtxt(data, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        first, n = parse_quarter(rows["quarter"][0]), len(rows) // len(keys)
+        labels = _run_labels(first, n)
+    except ValueError:  # a field count other than the header's, no number, or a PanelError: a bad first label or run
         return None
-    chars = np.ascontiguousarray(rows["quarter"]).view(np.int32).reshape(-1, 7)  # code points
-    digits, number = chars[:, :4] - ord("0"), chars[:, 5] - ord("0")
-    race, quantile, values = _codes(rows["race"], RACES), _codes(rows["quantile"], QUANTILES), rows["value"]
+    values = rows["values"]
     if not (
-        ((digits >= 0) & (digits <= 9)).all()
-        and (chars[:, 4] == ord("Q")).all()
-        and ((number >= 1) & (number <= 4)).all()
-        and (chars[:, 6] == 0).all()
-        and (race >= 0).all()
-        and (quantile >= 0).all()
+        len(rows) == n * len(keys)
+        and (rows["quarter"].reshape(n, len(keys)) == np.array(labels)[:, None]).all()
+        and (rows["key"].reshape(n, *np.shape(keys)) == np.array(keys, dtype=str)).all()
         and np.isfinite(values).all()
         and (not positive or (values > 0).all())
     ):
         return None
-    qidx = digits @ np.array([4000, 400, 40, 4]) + number - 1
-    first = int(qidx.min())
-    n = int(qidx.max()) - first + 1
-    if len(values) != n * len(CELLS):
-        return None
-    grid = np.full(n * len(CELLS), np.nan)  # with 9n rows, a cell left NaN means another came twice
-    grid[len(CELLS) * (qidx - first) + len(RACES) * quantile + race] = values
-    return None if np.isnan(grid).any() else (first, grid.reshape(n, len(CELLS)))
+    return first, np.array(values).reshape(n, -1)
 
 
-def _codes(column, labels) -> np.ndarray:
-    """Each entry's index in labels, -1 where it is none of them."""
-    code = np.full(len(column), -1)
-    for i, label in enumerate(labels):
-        code[column == label] = i
-    return code
+def _grid_by_row(lines, header, keys, positive):
+    """_read_grid on a CSV's lines, one row at a time; errors name the first faulty row.
 
-
-def _cells_by_row(lines, header, positive):
-    """_read_cells on a CSV's lines, one row at a time; errors name the first faulty row."""
-    name = header[3]
-    values = {}  # 9 * quarter index + cell -> value
-    for lineno, (quarter, race, quantile, text) in _read_rows(lines, header, PanelError):
-        quarter, race, quantile, text = quarter.strip(), race.strip(), quantile.strip(), text.strip()
-        key = 9 * _quarter(quarter, lineno) + _cell(race, quantile, lineno)
-        value = _number(text, lineno, name)
-        if positive and value <= 0:
-            raise PanelError(f"row {lineno}: {name} must be positive, got {text}")
-        if key in values:
-            raise PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
-        values[key] = value
-    keys = np.fromiter(values, np.int64, len(values))
-    first, n = _contiguous(keys // 9)
-    grid = np.full((n, len(CELLS)), np.nan)  # values are finite, so NaN marks a missing cell
-    grid.flat[keys - 9 * first] = np.fromiter(values.values(), float, len(values))
-    missing = np.flatnonzero(np.isnan(grid))
+    Each row's checks run in one order: quarter, each key label, duplicate, values.
+    """
+    width = len(keys[0])
+    index = {key: k for k, key in enumerate(keys)}
+    names = header[1 + width :]
+    rows = {}  # len(keys) * quarter index + key index -> the row's values
+    for lineno, row in _read_rows(lines, header, PanelError):
+        row = list(map(str.strip, row))
+        qidx = _quarter(row[0], lineno)
+        k = index.get(tuple(row[1 : 1 + width]))
+        if k is None:  # every combination of the columns' labels is a key, so a label is unknown
+            for label, name, *labels in zip(row[1:], header[1:], *keys):
+                if label not in labels:
+                    raise PanelError(f"row {lineno}: unknown {name} {label!r}")
+        at = len(keys) * qidx + k
+        if at in rows:
+            what = f"cell ({', '.join(row[: 1 + width])})" if width else f"quarter {row[0]}"
+            raise PanelError(f"row {lineno}: duplicate {what}")
+        rows[at] = [_number(text, lineno, name, positive) for text, name in zip(row[1 + width :], names)]
+    at = np.fromiter(rows, np.int64, len(rows))
+    first, n = _contiguous(at // len(keys))
+    grid = np.full((n * len(keys), len(names)), np.nan)  # values are finite, so NaN marks a missing row
+    grid[at - len(keys) * first] = list(rows.values())
+    missing = np.flatnonzero(np.isnan(grid[:, 0]))
     if missing.size:
-        t, c = divmod(int(missing[0]), len(CELLS))
-        quantile, race = CELLS[c]
-        raise PanelError(f"missing {name} cell ({format_quarter(first + t)}, {race}, {quantile})")
-    return first, grid
+        t, k = divmod(int(missing[0]), len(keys))
+        raise PanelError(f"missing {header[-1]} cell ({', '.join([format_quarter(first + t), *keys[k]])})")
+    return first, grid.reshape(n, -1)
 
 
 def parse_wage_csv(source) -> QuarterlyPanel:
     """Parse and validate a wage CSV (header: quarter,race,quantile,wage).
 
     ``source`` is a path or an open text file. Rows may arrive in any order.
-    Raises PanelError with the offending row number for duplicates, missing
-    cells, gaps, or non-positive wages.
+    Raises PanelError. A fault in one row (a malformed label, a wrong field
+    count, a duplicate cell, or a non-numeric, non-finite or non-positive
+    wage) names the row's number; a missing cell names its quarter and cell,
+    and a gap the quarters on either side of it.
     """
-    return QuarterlyPanel(*_read_cells(source, _WAGE_HEADER, positive=True))
+    return QuarterlyPanel(*_read_grid(source, _WAGE_HEADER, _CELL_KEYS, positive=True))
 
 
 def parse_shock_csv(source) -> ShockSeries:
     """Parse a shock CSV (header: quarter,shock), one value per quarter."""
-    first, values = _read_by_quarter(source, _SHOCK_HEADER)
+    first, values = _read_grid(source, _SHOCK_HEADER, [()])
     return ShockSeries(first, values[:, 0])
 
 
@@ -550,9 +526,6 @@ def _write_grid(path, header, labels, keys, values) -> None:
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-_CELL_KEYS = tuple((race, quantile) for quantile, race in CELLS)  # the cell CSVs' race,quantile fields
-
-
 def write_wage_csv(panel: QuarterlyPanel, path) -> None:
     """Write a panel in the documented wage CSV input format."""
     _write_grid(path, _WAGE_HEADER, panel.quarters, _CELL_KEYS, panel.wages)
@@ -573,7 +546,7 @@ def write_series_csv(series: InequalitySeries, path) -> None:
 
 def read_series_csv(source) -> InequalitySeries:
     """Read a decomposition series written by write_series_csv."""
-    first, vals = _read_by_quarter(source, SERIES_HEADER)
+    first, vals = _read_grid(source, SERIES_HEADER, [()])
     return InequalitySeries(
         quarters=_run_labels(first, len(vals)),
         total=vals[:, 0],
@@ -591,5 +564,5 @@ def write_growth_csv(series: GrowthSeries, path) -> None:
 
 def read_growth_csv(source) -> GrowthSeries:
     """Read a growth CSV written by write_growth_csv."""
-    first, growth = _read_cells(source, _GROWTH_HEADER)
+    first, growth = _read_grid(source, _GROWTH_HEADER, _CELL_KEYS)
     return GrowthSeries(_run_labels(first, len(growth)), growth)

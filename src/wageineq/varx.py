@@ -603,7 +603,7 @@ def read_irf_csv(source) -> ImpulseResponse:
             raise VarxError(f"row {lineno}: negative horizon {h_text}")
         if key in entries:
             raise VarxError(f"row {lineno}: duplicate entry for horizon {h_text}, variable {name}")
-        entries[key] = [_number(v.strip(), lineno, col, VarxError) for v, col in zip(val_texts, _IRF_HEADER[2:])]
+        entries[key] = [_number(v.strip(), lineno, col, error=VarxError) for v, col in zip(val_texts, _IRF_HEADER[2:])]
     if not entries:
         raise VarxError("IRF CSV contains no data rows")
     names = tuple(dict.fromkeys(name for _, name in entries))  # in first-seen order

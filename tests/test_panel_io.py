@@ -66,12 +66,12 @@ def scalar_read_cells(source, header, positive=False):
             raise pn.PanelError(f"row {lineno}: unknown race {race!r}")
         if quantile not in pn.QUANTILES:
             raise pn.PanelError(f"row {lineno}: unknown quantile {quantile!r}")
-        value = pn._number(text, lineno, name)
-        if positive and value <= 0:
-            raise pn.PanelError(f"row {lineno}: {name} must be positive, got {text}")
         key = (qidx, quantile, race)
         if key in cells:
             raise pn.PanelError(f"row {lineno}: duplicate cell ({quarter}, {race}, {quantile})")
+        value = pn._number(text, lineno, name)
+        if positive and value <= 0:
+            raise pn.PanelError(f"row {lineno}: {name} must be positive, got {text}")
         cells[key] = value
     qindices = scalar_contiguous({k[0] for k in cells})
     grid = np.empty((len(qindices), 9))
@@ -119,8 +119,8 @@ def scalar_write_irf(irf, path):
 
 
 # ---------------------------------------------------------------------------
-# Random CSV inputs: shuffled, and either plain (as the writers write) or padded, quoted, with
-# blank rows and lower-case labels; one corruption.
+# Random CSV inputs: in the writers' row order or shuffled, and either plain (as the writers write)
+# or padded, quoted, with blank rows and lower-case labels; one corruption.
 
 # the corruptions after "gap" target the plain pass's guards
 CELL_FAULTS = (None, "label", "race", "quantile", "non_numeric", "non_finite", "non_positive",
@@ -152,7 +152,10 @@ def field_text(draw, text):
 
 @st.composite
 def csv_case(draw, cells):
-    """(header, text, plain, fault) for a wage-style (cells=True) or one-row-per-quarter CSV."""
+    """(header, text, plain, shuffled, fault) for a wage-style (cells=True) or one-row-per-quarter CSV.
+
+    ``shuffled`` is whether the rows, before the corruption, are out of the writers' order.
+    """
     plain = draw(st.booleans())
     n_quarters = draw(st.integers(1, 5))
     start = draw(st.integers(1990 * 4, 1992 * 4))
@@ -166,7 +169,9 @@ def csv_case(draw, cells):
         rows = [[q, *(repr(draw(st.floats(-10.0, 10.0))) for _ in header[1:])] for q in quarters]
     rows = [[pn.format_quarter(q).replace("Q", "Q" if plain else draw(st.sampled_from("Qq"))), *rest]
             for q, *rest in rows]
-    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    order = draw(st.permutations(range(len(rows)))) if draw(st.booleans()) else range(len(rows))
+    shuffled = list(order) != sorted(order)
+    rows = [rows[i] for i in order]
     fault = draw(st.sampled_from(CELL_FAULTS if cells else QUARTER_FAULTS))
     at = draw(st.integers(0, len(rows) - 1))
     if fault == "label":
@@ -214,7 +219,7 @@ def csv_case(draw, cells):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from((" ", "\t", " \t "))))
     eol = draw(st.sampled_from(("\n", "\r\n")))
     text = ",".join(header) + eol + eol.join(lines) + draw(st.sampled_from(("", eol)))
-    return header, text, plain, fault
+    return header, text, plain, shuffled, fault
 
 
 def outcome(read, text, newline, *args):
@@ -245,7 +250,7 @@ class TestBlockColumnarReader:
         header = header if positive else pn._GROWTH_HEADER
         text = text.replace("wage", header[3], 1)
         want = outcome(scalar_read_cells, text, newline, header, positive)
-        got = outcome(pn._read_cells, text, newline, header, positive)
+        got = outcome(pn._read_grid, text, newline, header, pn._CELL_KEYS, positive)
         assert_same_outcome(got, want)
 
     @settings(max_examples=300, deadline=None)
@@ -253,35 +258,50 @@ class TestBlockColumnarReader:
     def test_by_quarter_matches_scalar_reference(self, case, newline):
         header, text, *_ = case
         want = outcome(scalar_read_by_quarter, text, newline, header)
-        got = outcome(pn._read_by_quarter, text, newline, header)
+        got = outcome(pn._read_grid, text, newline, header, [()])
         assert_same_outcome(got, want)
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=csv_case(cells=True), newline=st.sampled_from(("\n", "")), positive=st.booleans())
-    def test_plain_pass_is_the_row_loop_or_declines(self, case, newline, positive):
-        header, text, plain, fault = case
-        header = header if positive else pn._GROWTH_HEADER
-        text = text.replace("wage", header[3], 1)
-        got = pn._plain_cells(list(io.StringIO(text, newline=newline)), header, positive)
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), cells=st.booleans(), newline=st.sampled_from(("\n", "")), positive=st.booleans())
+    def test_plain_pass_is_the_row_loop_or_declines(self, data, cells, newline, positive):
+        header, text, plain, shuffled, fault = data.draw(csv_case(cells))
+        keys, positive = (pn._CELL_KEYS, positive) if cells else ([()], False)
+        if cells and not positive:
+            header = pn._GROWTH_HEADER
+            text = text.replace("wage", header[3], 1)
+        got = pn._plain_grid(list(io.StringIO(text, newline=newline)), header, keys, positive)
         if plain and (fault is None or (fault == "non_positive" and not positive)):
-            assert got is not None
+            # every file in the writers' layout takes the numpy pass, and a shuffled one the row loop
+            assert (got is None) == shuffled
         if got is not None:
-            by_row = outcome(lambda fh, *args: pn._cells_by_row(list(fh), *args), text, newline, header, positive)
+            by_row = outcome(lambda fh, *args: pn._grid_by_row(list(fh), *args), text, newline, header, keys, positive)
             assert_same_outcome(got, by_row)
 
     def test_plain_pass_takes_what_the_writers_write(self, tmp_path):
         panel = synthetic_wage_panel(40, "1979Q1")
         pn.write_wage_csv(panel, tmp_path / "wages.csv")
         pn.write_growth_csv(pn.growth_rates(panel, "log_qoq"), tmp_path / "growth.csv")
+        shocks = synthetic_shock_series(panel.quarters)
+        pn.write_shock_csv(shocks, tmp_path / "shocks.csv")
+        pn.write_series_csv(pn.compute_series(panel), tmp_path / "series.csv")
         # csv.writer rows with f"{v:.10g}" values: the benchmark's input format
         scalar_write_cells(tmp_path / "rows.csv", pn._WAGE_HEADER, panel.quarters, panel.wages)
-        for name, header, positive in (
-            ("wages.csv", pn._WAGE_HEADER, True), ("growth.csv", pn._GROWTH_HEADER, False), ("rows.csv", pn._WAGE_HEADER, True)
+        shock_rows = ((q, f"{v:.10g}") for q, v in zip(shocks.quarters, shocks.values))
+        scalar_write_rows(tmp_path / "shock_rows.csv", pn._SHOCK_HEADER, shock_rows)
+        for name, header, keys, positive in (
+            ("wages.csv", pn._WAGE_HEADER, pn._CELL_KEYS, True),
+            ("growth.csv", pn._GROWTH_HEADER, pn._CELL_KEYS, False),
+            ("shocks.csv", pn._SHOCK_HEADER, [()], False),
+            ("series.csv", pn.SERIES_HEADER, [()], False),
+            ("rows.csv", pn._WAGE_HEADER, pn._CELL_KEYS, True),
+            ("shock_rows.csv", pn._SHOCK_HEADER, [()], False),
         ):
             lines = pn._source_lines(tmp_path / name, pn.PanelError)
-            got = pn._plain_cells(lines, header, positive)
+            got = pn._plain_grid(lines, header, keys, positive)
             assert got is not None, name
-            assert_same_outcome(got, pn._cells_by_row(lines, header, positive))
+            owner = got[1] if got[1].base is None else got[1].base
+            assert got[1].flags.c_contiguous and owner.nbytes == got[1].nbytes, name  # not a view of the parsed rows
+            assert_same_outcome(got, pn._grid_by_row(lines, header, keys, positive))
 
     def cells_text(self, quarters, value="1.5"):
         return "quarter,race,quantile,wage\n" + "".join(
@@ -292,7 +312,7 @@ class TestBlockColumnarReader:
     def test_whole_fixture_matches_scalar_reference(self, n_quarters, tmp_path):
         panel = synthetic_wage_panel(n_quarters, "1000Q1")
         scalar_write_cells(tmp_path / "wages.csv", pn._WAGE_HEADER, panel.quarters, panel.wages)
-        got = pn._read_cells(tmp_path / "wages.csv", pn._WAGE_HEADER, True)
+        got = pn._read_grid(tmp_path / "wages.csv", pn._WAGE_HEADER, pn._CELL_KEYS, True)
         with open(tmp_path / "wages.csv", encoding="utf-8", newline="") as fh:
             assert_same_outcome(got, scalar_read_cells(fh, pn._WAGE_HEADER, True))
 
@@ -302,6 +322,15 @@ class TestBlockColumnarReader:
         lines[row - 1] = "2000Q1,Asian,D1,2.5\n"
         with pytest.raises(pn.PanelError, match=rf"^row {row}: duplicate cell \(2000Q1, Asian, D1\)$"):
             pn.parse_wage_csv(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_duplicate_named_before_its_value(self, value):
+        lines = self.cells_text(["2000Q1", "2000Q2"]).splitlines(keepends=True)
+        lines[11] = f"2000Q1,Asian,D1,{value}\n"
+        with pytest.raises(pn.PanelError, match=r"^row 12: duplicate cell \(2000Q1, Asian, D1\)$"):
+            pn.parse_wage_csv(io.StringIO("".join(lines)))
+        with pytest.raises(pn.PanelError, match=r"^row 3: duplicate quarter 2000Q1$"):
+            pn.parse_shock_csv(io.StringIO(f"quarter,shock\n2000Q1,1.5\n2000Q1,{value}x\n"))
 
     def test_first_gap_named(self):
         text = self.cells_text(["2000Q4", "2000Q1", "2001Q3", "2002Q1"])
@@ -412,7 +441,7 @@ class TestBlockColumnarReader:
         text = self.cells_text(["2000Q1", "2000Q2"]).replace("2000Q2,White,D9,1.5", new)
         want = outcome(scalar_read_cells, text, "", pn._WAGE_HEADER, True)
         assert isinstance(want[0], type)
-        assert outcome(pn._read_cells, text, "", pn._WAGE_HEADER, True) == want
+        assert outcome(pn._read_grid, text, "", pn._WAGE_HEADER, pn._CELL_KEYS, True) == want
 
     @pytest.mark.parametrize(
         "row, alias",
@@ -431,7 +460,15 @@ class TestBlockColumnarReader:
         text = self.cells_text(["2000Q1", "2000Q2"]).replace(row + ",", alias + ",")
         want = outcome(scalar_read_cells, text, "", pn._WAGE_HEADER, True)
         assert isinstance(want[0], type)
-        assert outcome(pn._read_cells, text, "", pn._WAGE_HEADER, True) == want
+        assert outcome(pn._read_grid, text, "", pn._WAGE_HEADER, pn._CELL_KEYS, True) == want
+
+    def test_quarter_past_9999Q4_is_an_error(self):
+        # 10000Q1 is the label format_quarter gives the index after 9999Q4, and fits the quarter field
+        message = r"malformed quarter label '10000Q1' \(expected YYYYQn\)$"
+        with pytest.raises(pn.PanelError, match=f"^row 11: {message}"):
+            pn.parse_wage_csv(io.StringIO(self.cells_text(["9999Q4", "10000Q1"])))
+        with pytest.raises(pn.PanelError, match=f"^row 3: {message}"):
+            pn.parse_shock_csv(io.StringIO("quarter,shock\n9999Q4,1.5\n10000Q1,2.5\n"))
 
     def test_byte_order_mark(self, tmp_path):
         text = "\ufeff" + self.cells_text(["2000Q1", "2000Q2"])
@@ -449,24 +486,39 @@ class TestBlockColumnarReader:
             pn.parse_shock_csv(io.StringIO("quarter,shock\n\ufeff2000Q1,0.5\n"))
 
 
+# every reader of a CSV, with its header and its error type
+READERS = pytest.mark.parametrize(
+    "read, header, error",
+    [
+        (pn.parse_wage_csv, pn._WAGE_HEADER, pn.PanelError),
+        (pn.read_growth_csv, pn._GROWTH_HEADER, pn.PanelError),
+        (pn.parse_shock_csv, pn._SHOCK_HEADER, pn.PanelError),
+        (pn.read_series_csv, pn.SERIES_HEADER, pn.PanelError),
+        (vx.read_irf_csv, ("horizon", "variable", "point", "lower", "upper"), vx.VarxError),
+    ],
+    ids=["wage", "growth", "shock", "series", "irf"],
+)
+
+
 class TestNotUtf8:
-    @pytest.mark.parametrize(
-        "read, header, error",
-        [
-            (pn.parse_wage_csv, pn._WAGE_HEADER, pn.PanelError),
-            (pn.read_growth_csv, pn._GROWTH_HEADER, pn.PanelError),
-            (pn.parse_shock_csv, pn._SHOCK_HEADER, pn.PanelError),
-            (pn.read_series_csv, pn.SERIES_HEADER, pn.PanelError),
-            (vx.read_irf_csv, ("horizon", "variable", "point", "lower", "upper"), vx.VarxError),
-        ],
-        ids=["wage", "growth", "shock", "series", "irf"],
-    )
+    @READERS
     def test_reader_raises_its_own_error(self, read, header, error, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(",".join(header).encode() + b"\n2000Q1,\xff\n")
         with pytest.raises(error, match=r"^not UTF-8 text: byte 0xff: invalid start byte$"):
             read(path)
         with open(path, encoding="utf-8", newline="") as fh, pytest.raises(error, match="^not UTF-8 text: "):
+            read(fh)
+
+    @READERS
+    def test_binary_file_raises_its_own_error(self, read, header, error, tmp_path):
+        text = ",".join(header).encode() + b"\n2000Q1,1.5\n"
+        message = r"^expected lines of text, got bytes: open the file in text mode$"
+        with pytest.raises(error, match=message):
+            read(io.BytesIO(text))
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text)
+        with open(path, "rb") as fh, pytest.raises(error, match=message):
             read(fh)
 
 
