@@ -123,10 +123,12 @@ def run_irf(
 ) -> dict:
     """Estimate and write impulse responses for each requested target set.
 
-    'total' runs the overall index alone (plus any controls as extra
-    endogenous variables); 'components' runs the three within terms and
-    the between term, jointly by default or one univariate system per
-    component with per_component.
+    'total' runs the overall index alone (plus any controls as extra endogenous variables); 'components'
+    runs the three within terms and the between term, jointly by default or one univariate system per
+    component with per_component. With standardize, every series a run fits, controls included, is
+    scaled once over the estimation sample, so all output files of one run share those SD units; a series
+    that no requested system reads is neither scaled nor checked, and one constant over the sample stops
+    the run before any fit, naming the series and the span.
     """
     import json
 
@@ -162,20 +164,18 @@ def run_irf(
         control_paths[name] = path
         columns[name] = _read("control series", lambda p: pn.parse_shock_csv(p).restrict(sample.first, sample.T), path).values
 
-    def make_data(var_names, fname):
-        X = np.column_stack([columns[n] for n in var_names])
-        if standardize:
-            for i, name in enumerate(var_names):
-                try:
-                    X[:, i] = pn.standardize(X[:, i])
-                except DomainError as exc:
-                    span = f"{sample.quarters[0]}..{sample.quarters[-1]}"
-                    raise DomainError(f"{exc} ({name!r} for {fname} over {span})") from None
-        return vx.TimeSeriesData(sample.first, X, sample.d, tuple(var_names))
+    if standardize:  # each series some system reads, once, so every output file is in the same SD units
+        for name in [n for names in systems.values() for n in names] + list(control_paths):  # systems share no series
+            try:
+                columns[name] = pn.standardize(columns[name])
+            except DomainError as exc:
+                raise DomainError(f"{exc} ({name!r} over {sample.quarters[0]}..{sample.quarters[-1]})") from None
 
     records, irfs = {}, {}
-    for fname, var_names in systems.items():
-        design = vx.build_design(make_data(var_names + list(control_paths), fname), spec)
+    for fname, names in systems.items():
+        names = names + list(control_paths)
+        data = vx.TimeSeriesData(sample.first, np.column_stack([columns[n] for n in names]), sample.d, tuple(names))
+        design = vx.build_design(data, spec)
         model = vx.estimate(design)
         irfs[fname] = irf = vx.bootstrap_bands(model, design)
         records[fname] = {

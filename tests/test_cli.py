@@ -367,14 +367,18 @@ class TestIrf:
         assert len(repr(radius).replace(".", "").lstrip("0")) <= 10
 
     @staticmethod
-    def run_spread_panel(runner, tmp_path, spread):
-        """irf on a panel where races are equal and quantile points sit exp(spread) apart."""
+    def spread_panel_args(tmp_path, spread):
+        """irf's arguments for a 2000Q1..2009Q4 panel where races are equal and quantile points sit exp(spread) apart."""
         grid = 500.0 * np.exp(np.repeat(spread[:, None] * np.arange(3), 3, axis=1))
         wages, shocks, out = tmp_path / "wages.csv", tmp_path / "shocks.csv", tmp_path / "out"
         panel = pn.QuarterlyPanel(pn.parse_quarter("2000Q1"), grid)
         pn.write_wage_csv(panel, wages)
         pn.write_shock_csv(synthetic_shock_series(panel.quarters), shocks)
-        args = ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)]
+        return ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out)], out
+
+    def run_spread_panel(self, runner, tmp_path, spread):
+        """irf --target total on a panel where races are equal, so every within term is constant."""
+        args, out = self.spread_panel_args(tmp_path, spread)
         result = runner.invoke(main, args + ["--reps", "100", "--target", "total"])
         assert result.exit_code == 0, result.output
         assert result.stdout == f"wrote {out / 'irf_total.csv'}\nwrote {out / 'manifest.json'}\n"
@@ -392,6 +396,19 @@ class TestIrf:
         assert radius["irf_total.csv"] >= 1.0
         assert stderr.count("warning") == 1
         assert "companion spectral radius >= 1" in stderr and "irf_total.csv" in stderr
+
+    def test_constant_component_stops_the_run_before_any_fit(self, runner, tmp_path, monkeypatch):
+        # every series a run fits is standardized before the first system is built, so the default targets
+        # stop on the first constant within term without bootstrapping irf_total.csv first
+        args, out = self.spread_panel_args(tmp_path, 0.1 + 0.01 * np.random.default_rng(5).normal(size=40))
+        fits = []
+        bands = vx.bootstrap_bands
+        monkeypatch.setattr(vx, "bootstrap_bands", lambda *a: fits.append(a[1].data.names) or bands(*a))
+        result = runner.invoke(main, args + ["--reps", "100"])
+        assert result.exit_code == 1
+        assert result.output == "Error: cannot standardize a zero-variance series ('within_d1' over 2000Q1..2009Q4)\n"
+        assert not out.exists()
+        assert fits == []
 
     def test_repeated_targets_run_once(self, runner, inputs, tmp_path, monkeypatch):
         wages, shocks = inputs
@@ -848,7 +865,7 @@ class TestControlCoverage:
         assert result.output == f"Error: control series {path}: row 3: non-numeric shock 'abc'\n"
         assert not (tmp_path / "o").exists()
 
-    def test_constant_control_names_variable_file_and_span(self, runner, inputs, tmp_path):
+    def test_constant_control_names_variable_and_span(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         flat = tmp_path / "flat.csv"
         pn.write_shock_csv(pn.ShockSeries(pn.parse_quarter("2000Q1"), np.full(40, 0.5)), flat)
@@ -858,9 +875,9 @@ class TestControlCoverage:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
-            "Error: cannot standardize a zero-variance series ('flat' for irf_total.csv over 2000Q1..2009Q4)\n"
+            "Error: cannot standardize a zero-variance series ('flat' over 2000Q1..2009Q4)\n"
         )
-        with pytest.raises(DomainError, match="'flat' for irf_total.csv"):
+        with pytest.raises(DomainError, match=r"^cannot standardize a zero-variance series \('flat' over 2000Q1\.\.2009Q4\)$"):
             run_irf(wages, shocks, tmp_path / "o", vx.VarxSpec(bootstrap_reps=100), controls=(flat,))
 
 
