@@ -157,11 +157,11 @@ class ShockSeries:
         return ShockSeries(first, self.values[_run_slice(self, first, n)])
 
 
-def _numeric(values, what) -> np.ndarray:
+def _numeric(values, what, error=PanelError) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)  # a float64 array is not copied
     except (TypeError, ValueError) as exc:
-        raise PanelError(f"{what} must be numeric: {exc}") from None
+        raise error(f"{what} must be numeric: {exc}") from None
 
 
 def _run_labels(first, n: int, error=PanelError) -> tuple:
@@ -248,25 +248,6 @@ def _quarter(label, lineno) -> int:
         raise PanelError(f"row {lineno}: {exc}") from None
 
 
-def _contiguous(qindices) -> tuple:
-    """First index and count of a set of quarter indices; rejects an empty set and gaps.
-
-    Marks the quarters present instead of sorting: parse_quarter bounds the
-    span to 40,000 quarters, and a sort would page in more of numpy than
-    small files need.
-    """
-    if not qindices.size:
-        raise PanelError("CSV contains no data rows")
-    first = int(qindices.min())
-    present = np.zeros(int(qindices.max()) - first + 1, dtype=bool)
-    present[qindices - first] = True
-    if not present.all():
-        t = int(np.argmin(present))  # the first quarter missing; present[0] is True
-        b = t + int(np.argmax(present[t:]))
-        raise PanelError(f"gap in quarters between {format_quarter(first + t - 1)} and {format_quarter(first + b)}")
-    return first, len(present)
-
-
 def _read_grid(source, header, keys, positive=False):
     """First quarter index and (T, len(keys) * values per row) values of a CSV as _write_grid writes it.
 
@@ -321,7 +302,8 @@ def _plain_grid(lines, header, keys, positive):
 def _grid_by_row(lines, header, keys, positive):
     """_read_grid on a CSV's lines, one row at a time; errors name the first faulty row.
 
-    Each row's checks run in one order: quarter, each key label, duplicate, values.
+    Each row's checks run in one order: quarter, each key label, duplicate, values;
+    then the file's: no row, a quarter with no row (a gap), a missing cell.
     """
     width = len(keys[0])
     index = {key: k for k, key in enumerate(keys)}
@@ -340,13 +322,21 @@ def _grid_by_row(lines, header, keys, positive):
             what = f"cell ({', '.join(row[: 1 + width])})" if width else f"quarter {row[0]}"
             raise PanelError(f"row {lineno}: duplicate {what}")
         rows[at] = [_number(text, lineno, name, positive) for text, name in zip(row[1 + width :], names)]
+    if not rows:
+        raise PanelError("CSV contains no data rows")
     at = np.fromiter(rows, np.int64, len(rows))
-    first, n = _contiguous(at // len(keys))
+    first = int(at.min()) // len(keys)
+    n = int(at.max()) // len(keys) - first + 1  # parse_quarter bounds the span to 40,000 quarters
     grid = np.full((n * len(keys), len(names)), np.nan)  # values are finite, so NaN marks a missing row
     grid[at - len(keys) * first] = list(rows.values())
-    missing = np.flatnonzero(np.isnan(grid[:, 0]))
-    if missing.size:
-        t, k = divmod(int(missing[0]), len(keys))
+    missing = np.isnan(grid[:, 0]).reshape(n, len(keys))
+    gap = missing.all(axis=1)  # a quarter with no row; the first and the last quarter have one
+    if gap.any():
+        t = int(np.argmax(gap))
+        b = t + int(np.argmin(gap[t:]))
+        raise PanelError(f"gap in quarters between {format_quarter(first + t - 1)} and {format_quarter(first + b)}")
+    if missing.any():
+        t, k = divmod(int(np.argmax(missing)), len(keys))
         raise PanelError(f"missing {header[-1]} cell ({', '.join([format_quarter(first + t), *keys[k]])})")
     return first, grid.reshape(n, -1)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .panel import PanelError, _number, _read_rows, _run_labels, _source_lines, _write_grid, parse_quarter
+from .panel import PanelError, _number, _numeric, _read_rows, _run_labels, _source_lines, _write_grid, parse_quarter
 
 __all__ = [
     "VarxError",
@@ -102,13 +102,13 @@ class TimeSeriesData:
     quarters: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = _numeric(self.X, "X", VarxError)
         if X.ndim == 1:  # one variable
             X = X[:, None]
         elif X.ndim != 2:
             raise VarxError(f"X of shape {X.shape} is not (quarters, variables)")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
+        object.__setattr__(self, "d", _numeric(self.d, "shock", VarxError))
         if self.d.shape != (self.T,):
             raise VarxError(f"X has {self.T} rows but d has shape {self.d.shape}")
         object.__setattr__(self, "quarters", _run_labels(self.first, self.T, VarxError))
@@ -164,33 +164,31 @@ def build_design(data: TimeSeriesData, spec: VarxSpec) -> Design:
     """Build the lagged regressor matrix and response block.
 
     Rows whose lags reach before the sample start are dropped, so the
-    effective sample has T - max(p, q) rows (one fewer exogenous lag is
-    needed when the contemporaneous term is excluded, but the trim is kept
-    at max(p, q) so both variants share the same estimation sample).
+    effective sample has T_eff = max(T - max(p, q), 0) rows (one fewer
+    exogenous lag is needed when the contemporaneous term is excluded, but
+    the trim is kept at max(p, q) so both variants share the same estimation
+    sample). Only building happens here: ``estimate`` rejects a sample too
+    short to fit, one no longer than its lags included.
     """
     p, q = spec.endogenous_lags, spec.exogenous_lags
-    k, T = data.k, data.T
     offset = max(p, q)
-    T_eff = T - offset
-    if T_eff < k * p + q + 2:
-        rows = f"{T_eff} usable rows" if T_eff > 0 else f"no usable row after {offset} lag quarters"
-        raise VarxError(f"insufficient observations: {T} quarters leave {rows}, need at least {k * p + q + 2}")
+    T_eff = max(data.T - offset, 0)
     columns = ["const"]
     blocks = [np.ones((T_eff, 1))]
     for j in range(1, p + 1):
-        blocks.append(data.X[offset - j : T - j])
+        blocks.append(data.X[offset - j : offset - j + T_eff])
         columns.extend(f"{name}.lag{j}" for name in data.names)
     if spec.contemporaneous_shock:
-        blocks.append(data.d[offset:T, None])
+        blocks.append(data.d[offset : offset + T_eff, None])
         columns.append("shock.lag0")
     for j in range(1, q + 1):
-        blocks.append(data.d[offset - j : T - j, None])
+        blocks.append(data.d[offset - j : offset - j + T_eff, None])
         columns.append(f"shock.lag{j}")
     return Design(
         data=data,
         spec=spec,
         Z=np.hstack(blocks),
-        Y=data.X[offset:].copy(),
+        Y=data.X[offset : offset + T_eff].copy(),
         columns=tuple(columns),
     )
 

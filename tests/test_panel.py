@@ -161,7 +161,8 @@ class TestAlign:
         shocks = synthetic_shock_series(make_quarters("2007Q1", 30))
         joined_panel, joined_shocks = pn.align(panel, shocks)
         assert joined_panel.quarters == joined_shocks.quarters == ("2007Q1", "2007Q2")
-        with pytest.raises(vx.VarxError, match="^insufficient observations: 2 quarters leave no usable row after 4 lag quarters, need at least 7$"):
+        message = "^sample 2007Q1..2007Q2: effective sample of 0 rows is below the floor of 17 for 7 regressors$"
+        with pytest.raises(vx.VarxError, match=message):
             self.fit_total(panel, shocks)
 
     def test_overlap_one_short_of_minimum(self):

@@ -337,6 +337,14 @@ class TestBlockColumnarReader:
         with pytest.raises(pn.PanelError, match="^gap in quarters between 2000Q1 and 2000Q4$"):
             pn.parse_wage_csv(io.StringIO(text))
 
+    def test_gap_named_before_an_earlier_missing_cell(self):
+        """The row loop reports a quarter with no row before any missing cell, even one in an earlier quarter."""
+        rows = self.cells_text(["2000Q1", "2000Q2", "2000Q4"]).replace("2000Q1,White,Q3,1.5\n", "")
+        padded = re.sub(r"^(?!quarter)(.*),(.*),(.*),(.*)$", r" \1 , \2 ,\3 , \4", rows, flags=re.M)
+        assert padded.count("\n ") == 26  # every data row is padded, so only the row loop reads it
+        with pytest.raises(pn.PanelError, match="^gap in quarters between 2000Q2 and 2000Q4$"):
+            pn.parse_wage_csv(io.StringIO(padded))
+
     def test_first_missing_cell_named(self):
         text = self.cells_text(["2000Q1", "2000Q2"])
         for gone in ("2000Q2,Asian,D9", "2000Q1,White,Q3", "2000Q2,Black,D1"):

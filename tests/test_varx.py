@@ -130,13 +130,14 @@ class TestBuildDesign:
         assert design.columns == ("const", "x0.lag1", "shock.lag0", "shock.lag1", "shock.lag2")
 
     def test_too_short(self):
-        data = make_data(np.arange(7.0), np.zeros(7))
-        with pytest.raises(vx.VarxError, match="^insufficient observations: 7 quarters leave 3 usable rows, need at least 7$"):
-            vx.build_design(data, vx.VarxSpec())
-        for T in (3, 4):  # no row is left after the max(p, q) = 4 lag quarters
-            message = f"^insufficient observations: {T} quarters leave no usable row after 4 lag quarters, need at least 7$"
+        """build_design only builds, down to 0 rows for a sample no longer than its max(p, q) = 4 lags;
+        estimate's floor alone rejects a short sample, naming its span."""
+        for T, last, rows in [(7, "1981Q3", 3), (3, "1980Q3", 0), (4, "1980Q4", 0)]:
+            design = vx.build_design(make_data(np.arange(T, dtype=float), np.zeros(T)), vx.VarxSpec())
+            assert design.Z.shape == (rows, 7) and design.Y.shape == (rows, 1)
+            message = f"^sample 1980Q1..{last}: effective sample of {rows} rows is below the floor of 17 for 7 regressors$"
             with pytest.raises(vx.VarxError, match=message):
-                vx.build_design(make_data(np.arange(T, dtype=float), np.zeros(T)), vx.VarxSpec())
+                vx.estimate(design)
 
 
 class TestEstimate:
@@ -817,6 +818,12 @@ class TestFirstQuarterIndex:
         d[6] = value
         with pytest.raises(vx.VarxError, match=rf"^shock is {value} in 2001Q3; every value must be finite$"):
             make_data(np.zeros((8, 2)), d, start="2000Q1")
+
+    def test_non_numeric_input_is_a_varx_error(self):
+        with pytest.raises(vx.VarxError, match="^X must be numeric: could not convert string to float: 'a'$"):
+            vx.TimeSeriesData(8000, ["a", "1"], np.zeros(2))
+        with pytest.raises(vx.VarxError, match="^shock must be numeric: could not convert string to float: 'a'$"):
+            vx.TimeSeriesData(8000, np.zeros(2), ["a", "1"])
 
     @pytest.mark.parametrize("start, end", [("BADQ3", "2005Q1"), ("2000Q1", "2005Q5"), ("2000Q1", "")])
     def test_subsample_junk_label_is_a_varx_error(self, start, end):
