@@ -312,10 +312,10 @@ _CHUNK_BYTES = 2 << 20  # the bootstrap's working set; sets how many replication
 def _pass_sizes(reps: int, p: int, k: int, T_eff: int) -> tuple:
     """Replications per regeneration pass and per refit in ``bootstrap_bands``.
 
-    Half of _CHUNK_BYTES holds a pass's regenerated paths (p + T_eff, k);
-    the other half holds a refit's V = [L | Y] (T_eff, p k + k) and one
-    V-sized temporary (a refit's gathered residuals, a projection, then the
-    QR's copy of V).
+    Half of _CHUNK_BYTES holds a pass's regenerated paths (p + T_eff, k),
+    which np.take fills through a copy of their residual rows, freed before
+    any refit; the other half holds a refit's V = [L | Y] (T_eff, p k + k)
+    and one V-sized temporary (a projection, then the QR's copy of V).
     """
     half = _CHUNK_BYTES // 2
     regen = min(reps, max(1, half // (8 * (p + T_eff) * k)))
@@ -481,8 +481,7 @@ def _bootstrap_draws(model: VarxModel, design: Design) -> tuple:
     for first in range(0, reps, regen):
         rows = resampled[first : first + regen]
         X = path[: len(rows)]
-        for lo in range(0, len(rows), refit):  # a refit's rows at a time: the gathered copy is V's temporary
-            X[lo : lo + refit, p:] = model.residuals[rows[lo : lo + refit]]
+        np.take(model.residuals, rows, axis=0, out=X[:, p:], mode="clip")  # no row is clipped: each is < T_eff
         X[:, p:] += base
         _recurse(X, model.endo_coefs, X[:, p:], p)  # in place
         for lo in range(0, len(rows), refit):
@@ -507,22 +506,29 @@ def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
     estimate +/- 1 bootstrap standard deviation; the percentile method uses
     the 15.87/84.13 percentiles (clipped to contain the point). Replications whose
     re-estimation is rank deficient are dropped and counted in ``dropped``;
-    more than 5% failures aborts.
+    more than 5% failures aborts, and so does a point or band value that
+    is not finite (a shock size or an explosive fit past float's range).
     """
     spec = design.spec
-    point = dynamic_multipliers(model, spec.horizon, spec.shock_size)
     coefs, kept = _bootstrap_draws(model, design)
     dropped = spec.bootstrap_reps - int(kept.sum())
     if dropped > 0.05 * spec.bootstrap_reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {spec.bootstrap_reps} replications failed re-estimation")
     _, endo, exog = _unpack(coefs[kept], design)
-    stack = _multipliers(endo, exog, spec.horizon, spec.shock_size)  # the kept replications' responses
-    if spec.band_method == "sd":
-        sd = stack.std(axis=0, ddof=1)
-        lower, upper = point - sd, point + sd
-    else:
-        lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
-        lower, upper = np.minimum(lower, point), np.maximum(upper, point)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned about
+        point = dynamic_multipliers(model, spec.horizon, spec.shock_size)
+        stack = _multipliers(endo, exog, spec.horizon, spec.shock_size)  # the kept replications' responses
+        if spec.band_method == "sd":
+            sd = stack.std(axis=0, ddof=1)
+            lower, upper = point - sd, point + sd
+        else:
+            lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
+            lower, upper = np.minimum(lower, point), np.maximum(upper, point)
+    bad = ~np.isfinite((point, lower, upper)).all(axis=0)
+    if bad.any():
+        h, i = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise VarxError(f"response of {design.data.names[i]} at horizon {h} is not finite: point {point[h, i]:.10g}, "
+                        f"lower {lower[h, i]:.10g}, upper {upper[h, i]:.10g}")
     return ImpulseResponse(design.data.names, point, lower, upper, dropped)
 
 
@@ -570,11 +576,7 @@ def simulate_varx(intercept, endo_coefs, exog_coefs, d, noise_sd, rng):
 def companion_spectral_radius(model: VarxModel) -> float:
     """Largest eigenvalue modulus of the autoregressive companion matrix."""
     p, k = model.endo_coefs.shape[:2]
-    comp = np.zeros((p * k, p * k))
-    for j in range(p):
-        comp[:k, j * k : (j + 1) * k] = model.endo_coefs[j]
-    if p > 1:
-        comp[k:, :-k] = np.eye((p - 1) * k)
+    comp = np.vstack((np.hstack(model.endo_coefs), np.eye((p - 1) * k, p * k)))
     return float(np.abs(np.linalg.eigvals(comp)).max())
 
 
@@ -606,10 +608,8 @@ def read_irf_csv(source) -> ImpulseResponse:
         raise VarxError("IRF CSV contains no data rows")
     names = tuple(dict.fromkeys(name for _, name in entries))  # in first-seen order
     H = max(h for h, _ in entries)
-    bands = np.empty((3, H + 1, len(names)))
-    for h in range(H + 1):
-        for i, name in enumerate(names):
-            if (h, name) not in entries:
-                raise VarxError(f"missing IRF entry for horizon {h}, variable {name}")
-            bands[:, h, i] = entries[(h, name)]
-    return ImpulseResponse(names, *bands)
+    if len(entries) < (H + 1) * len(names):  # the keys are distinct: a short count means an entry is missing
+        h, name = next((h, name) for h in range(H + 1) for name in names if (h, name) not in entries)
+        raise VarxError(f"missing IRF entry for horizon {h}, variable {name}")
+    bands = np.array([[entries[h, name] for name in names] for h in range(H + 1)])  # (H+1, k, 3)
+    return ImpulseResponse(names, *np.moveaxis(bands, -1, 0))

@@ -262,6 +262,27 @@ class TestDynamicMultipliers:
         assert mags[-1] < mags[peak] or np.isclose(mags[-1], 0.0, atol=1e-12)
 
 
+def lag_model(endo_coefs):
+    """Hand-built model with autoregressive matrices ``endo_coefs`` (p, k, k) and no other term."""
+    k = endo_coefs.shape[-1]
+    return vx.VarxModel(np.zeros(k), endo_coefs, np.zeros((1, k)), np.zeros((20, k)), np.zeros((k, k)))
+
+
+class TestCompanionSpectralRadius:
+    def test_ar2_largest_root(self):
+        # x_t = 1.1 x_{t-1} - 0.3 x_{t-2}: z^2 - 1.1 z + 0.3 = (z - 0.6)(z - 0.5)
+        model = lag_model(np.array([[[1.1]], [[-0.3]]]))
+        assert vx.companion_spectral_radius(model) == pytest.approx(0.6, abs=1e-12)
+
+    def test_matches_a_companion_built_lag_by_lag(self):
+        endo = np.random.default_rng(4).normal(scale=0.4, size=(3, 2, 2))
+        comp = np.zeros((6, 6))  # [B_1 B_2 B_3] over the identity that shifts the lags down
+        for j in range(3):
+            comp[:2, 2 * j : 2 * j + 2] = endo[j]
+        comp[2:, :-2] = np.eye(4)
+        assert vx.companion_spectral_radius(lag_model(endo)) == float(np.abs(np.linalg.eigvals(comp)).max())
+
+
 def per_lag_recurse(X, endo_coefs, drive, start):
     """The recursion as p stacked products per step: the reference for _recurse."""
     for i, t in enumerate(range(start, X.shape[-2])):
@@ -385,6 +406,31 @@ class TestBootstrapBands:
         assert np.all(bands.lower <= bands.point)
         assert np.all(bands.point <= bands.upper)
         assert np.any(bands.upper > bands.lower)
+
+    def test_band_overflow_is_an_error(self):
+        # the point, about 1e300, is finite; the bootstrap SD squares it past float's range
+        model, design = self._fit(vx.VarxSpec(bootstrap_reps=100, seed=5, shock_size=1e300))
+        message = r"^response of x0 at horizon 0 is not finite: point \S+e\+300, lower -inf, upper inf$"
+        with pytest.raises(vx.VarxError, match=message):
+            vx.bootstrap_bands(model, design)
+        percentile = rebuilt(design, band_method="percentile")
+        bands = vx.bootstrap_bands(vx.estimate(percentile), percentile)
+        assert np.isfinite((bands.point, bands.lower, bands.upper)).all()
+
+    def test_point_overflow_is_an_error(self):
+        # an explosive fit: 1.2**h passes float's range long before horizon 5000
+        rng = np.random.default_rng(8)
+        d = rng.normal(size=81)
+        C = np.zeros((5, 1))
+        C[0, 0] = 1.0
+        X = vx.simulate_varx([0.0], [[[1.2]]], C, d, noise_sd=0.2, rng=rng)
+        design = vx.build_design(make_data(X, d), vx.VarxSpec(bootstrap_reps=100, horizon=5000))
+        model = vx.estimate(design)
+        assert vx.companion_spectral_radius(model) > 1.1
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(vx.dynamic_multipliers(model, 5000, -0.25)[-1]).all()
+        with pytest.raises(vx.VarxError, match=r"^response of x0 at horizon \d+ is not finite: "):
+            vx.bootstrap_bands(model, design)
 
 
 def scalar_bootstrap(model, design):
@@ -908,3 +954,9 @@ class TestIrfCsvValidation:
     def test_rejects_a_missing_entry(self, rows, missing):
         with pytest.raises(vx.VarxError, match=f"^missing IRF entry for {missing}$"):
             vx.read_irf_csv(io.StringIO(self.HEADER + rows))
+
+    def test_names_a_missing_entry_before_allocating_the_bands(self):
+        # bands up to horizon 10**12 would need terabytes
+        text = self.HEADER + "0,total,1,0,2\n1000000000000,total,1,0,2\n"
+        with pytest.raises(vx.VarxError, match="^missing IRF entry for horizon 1, variable total$"):
+            vx.read_irf_csv(io.StringIO(text))
