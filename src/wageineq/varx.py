@@ -274,7 +274,8 @@ def dynamic_multipliers(model: VarxModel, horizon: int, shock_size: float) -> np
     propagates it with the autoregressive matrices:
     psi_0 = C_0 s, psi_h = sum_j B_j psi_{h-j} + C_h s (C_h = 0 past q).
     """
-    return _multipliers(model.endo_coefs, model.exog_coefs, horizon, shock_size)
+    endo, exog = model.endo_coefs, model.exog_coefs
+    return np.fromiter(_responses(endo, exog, horizon, shock_size), (float, exog.shape[-1]), horizon + 1)
 
 
 def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: int) -> np.ndarray:
@@ -298,12 +299,14 @@ def _recurse(X: np.ndarray, endo_coefs: np.ndarray, drive: np.ndarray, start: in
     return X
 
 
-def _multipliers(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: float) -> np.ndarray:
-    """Responses (..., H+1, k) to blocks endo (..., p, k, k), exog (..., q+1, k)."""
-    lead, p, k = exog.shape[:-2], endo.shape[-3], exog.shape[-1]
-    drive = np.zeros(lead + (horizon + 1, k))
-    drive[..., : exog.shape[-2], :] = exog[..., : horizon + 1, :] * shock_size
-    return _recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
+def _responses(endo: np.ndarray, exog: np.ndarray, horizon: int, shock_size: float):
+    """Yield fresh (..., k) responses at horizons 0..H to blocks endo (..., p, k, k), exog (..., q+1, k)."""
+    lead, p, q, k = exog.shape[:-2], endo.shape[-3], exog.shape[-2] - 1, exog.shape[-1]
+    drive = np.concatenate((exog[..., : horizon + 1, :] * shock_size, np.zeros(lead + (1, k))), axis=-2)
+    window = np.zeros(lead + (p + 1, k))  # the last p responses and the new one: memory does not grow with H
+    for h in range(horizon + 1):  # one _recurse step each; every horizon past q takes drive's zero row q + 1
+        yield _recurse(window, endo, drive[..., min(h, q + 1), None, :], p)[..., p, :].copy()
+        window[..., :p, :] = window[..., 1:, :]
 
 
 _CHUNK_BYTES = 2 << 20  # the bootstrap's working set; sets how many replications share a batched pass
@@ -501,13 +504,13 @@ def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
     """Recursive residual bootstrap bands around the point multipliers of ``model``, fitted to ``design``.
 
     Horizon, shock size, replications, seed and band method are those of
-    ``design.spec``. The multipliers of the replications ``_bootstrap_draws``
-    kept are taken in one batched recursion. The default bands are the point
-    estimate +/- 1 bootstrap standard deviation; the percentile method uses
-    the 15.87/84.13 percentiles (clipped to contain the point). Replications whose
-    re-estimation is rank deficient are dropped and counted in ``dropped``;
-    more than 5% failures aborts, and so does a point or band value that
-    is not finite (a shock size or an explosive fit past float's range).
+    ``design.spec``. The responses of the replications ``_bootstrap_draws``
+    kept come from one batched recursion and are reduced horizon by horizon:
+    to the point +/- 1 bootstrap standard deviation by default, or to the
+    15.87/84.13 percentiles clipped to contain the point. Rank-deficient
+    re-estimations are dropped and counted in ``dropped``; more than 5% aborts,
+    and so does the first horizon with a point or band value that is not
+    finite (a shock size or an explosive fit past float's range).
     """
     spec = design.spec
     coefs, kept = _bootstrap_draws(model, design)
@@ -517,18 +520,19 @@ def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
     _, endo, exog = _unpack(coefs[kept], design)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned about
         point = dynamic_multipliers(model, spec.horizon, spec.shock_size)
-        stack = _multipliers(endo, exog, spec.horizon, spec.shock_size)  # the kept replications' responses
-        if spec.band_method == "sd":
-            sd = stack.std(axis=0, ddof=1)
-            lower, upper = point - sd, point + sd
-        else:
-            lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
-            lower, upper = np.minimum(lower, point), np.maximum(upper, point)
-    bad = ~np.isfinite((point, lower, upper)).all(axis=0)
-    if bad.any():
-        h, i = divmod(int(np.argmax(bad)), bad.shape[1])
-        raise VarxError(f"response of {design.data.names[i]} at horizon {h} is not finite: point {point[h, i]:.10g}, "
-                        f"lower {lower[h, i]:.10g}, upper {upper[h, i]:.10g}")
+        lower, upper = np.empty_like(point), np.empty_like(point)
+        for h, draws in enumerate(_responses(endo, exog, spec.horizon, spec.shock_size)):  # (kept reps, k)
+            if spec.band_method == "sd":
+                sd = draws.std(axis=0, ddof=1)
+                lower[h], upper[h] = point[h] - sd, point[h] + sd
+            else:
+                lo, up = np.percentile(draws, (15.87, 84.13), axis=0)
+                lower[h], upper[h] = np.minimum(lo, point[h]), np.maximum(up, point[h])
+            bad = ~np.isfinite((point[h], lower[h], upper[h])).all(axis=0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise VarxError(f"response of {design.data.names[i]} at horizon {h} is not finite: point "
+                                f"{point[h, i]:.10g}, lower {lower[h, i]:.10g}, upper {upper[h, i]:.10g}")
     return ImpulseResponse(design.data.names, point, lower, upper, dropped)
 
 

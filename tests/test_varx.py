@@ -1,8 +1,10 @@
 """Tests for VARX estimation, dynamic multipliers, and bootstrap bands."""
 
 import dataclasses
+import functools
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -731,6 +733,114 @@ class TestChunksAndDraws:
         vx.bootstrap_bands(model, rebuilt(design, seed=spec.seed + 1))
         assert kernel == [(spec.seed + 1, reps, design.T_eff, design.T_eff)]
         assert vx._resample_rows.cache_info().misses == 3
+
+
+def stacked_multipliers(endo, exog, horizon, shock_size):
+    """Responses (..., H+1, k) from one recursion over every horizon at once: the reference for _responses."""
+    lead, p, k = exog.shape[:-2], endo.shape[-3], exog.shape[-1]
+    drive = np.zeros(lead + (horizon + 1, k))
+    drive[..., : exog.shape[-2], :] = exog[..., : horizon + 1, :] * shock_size
+    return vx._recurse(np.zeros(lead + (p + horizon + 1, k)), endo, drive, p)[..., p:, :]
+
+
+def whole_stack_bands(model, design):
+    """Point, lower and upper bands reduced over the kept replications' whole (reps, H+1, k) responses at once.
+
+    The reference for bootstrap_bands, which reduces one horizon at a time.
+    """
+    spec = design.spec
+    coefs, kept = vx._bootstrap_draws(model, design)
+    _, endo, exog = vx._unpack(coefs[kept], design)
+    point = stacked_multipliers(model.endo_coefs, model.exog_coefs, spec.horizon, spec.shock_size)
+    stack = stacked_multipliers(endo, exog, spec.horizon, spec.shock_size)
+    if spec.band_method == "sd":
+        sd = stack.std(axis=0, ddof=1)
+        return point, point - sd, point + sd
+    lower, upper = np.percentile(stack, (15.87, 84.13), axis=0)
+    return point, np.minimum(lower, point), np.maximum(upper, point)
+
+
+def assert_matches_whole_stack(model, design):
+    bands = vx.bootstrap_bands(model, design)
+    point, lower, upper = whole_stack_bands(model, design)
+    assert np.array_equal(bands.point, point)
+    if design.spec.band_method == "sd" and design.data.k == 1:
+        # numpy sums a contiguous (reps, 1) slice pairwise, where it summed the stack's rows in order:
+        # the SD may differ in its last bits
+        scale = np.abs(upper) + (upper - point)
+        for got, want in ((bands.lower, lower), (bands.upper, upper)):
+            assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * scale)
+    else:
+        assert np.array_equal(bands.lower, lower)
+        assert np.array_equal(bands.upper, upper)
+
+
+class TestStreamedBands:
+    """Bands reduced horizon by horizon against the reductions of the whole stack of responses."""
+
+    @pytest.mark.parametrize(
+        "target,n_quarters,spec_kwargs",
+        [
+            ("total", 81, {}),
+            ("total", 81, {"band_method": "percentile"}),
+            ("components", 81, {}),
+            ("components", 81, {"band_method": "percentile", "horizon": 40}),
+            ("control", 168, {"bootstrap_reps": 1000, "endogenous_lags": 2, "band_method": "percentile"}),
+            ("control", 168, {"bootstrap_reps": 300, "endogenous_lags": 3, "exogenous_lags": 0, "horizon": 2}),
+        ],
+    )
+    def test_matches_whole_stack(self, target, n_quarters, spec_kwargs):
+        design = vx.build_design(pipeline_data(target, n_quarters), vx.VarxSpec(**spec_kwargs))
+        assert_matches_whole_stack(vx.estimate(design), design)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        p=st.integers(1, 3),
+        q=st.integers(0, 4),
+        horizon=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        band_method=st.sampled_from(["sd", "percentile"]),
+    )
+    def test_property_matches_whole_stack(self, k, p, q, horizon, seed, band_method):
+        data = control_data()
+        data = vx.TimeSeriesData(data.first, data.X[:, :k], data.d, data.names[:k])
+        spec = vx.VarxSpec(endogenous_lags=p, exogenous_lags=q, horizon=horizon, bootstrap_reps=100, seed=seed,
+                           band_method=band_method)
+        design = vx.build_design(data, spec)
+        assert_matches_whole_stack(vx.estimate(design), design)
+
+    @pytest.mark.parametrize("p,q,horizon", [(1, 4, 12), (2, 4, 2), (3, 0, 7)])
+    def test_responses_are_fresh_arrays(self, p, q, horizon):
+        rng = np.random.default_rng(10 * p + q)
+        endo, exog = rng.normal(0.0, 0.3, size=(6, p, 3, 3)), rng.normal(size=(6, q + 1, 3))
+        responses = list(vx._responses(endo, exog, horizon, -0.25))
+        assert len(responses) == horizon + 1
+        assert np.array_equal(np.stack(responses, axis=-2), stacked_multipliers(endo, exog, horizon, -0.25))
+        for i, response in enumerate(responses):
+            assert response.shape == (6, 3) and response.base is None  # not a view of the rolling window
+            assert not any(np.shares_memory(response, other) for other in responses[i + 1 :])
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        data = pipeline_data("components")
+        peaks = {}
+        for horizon in (10, 10, 3000):  # the first run fills the cache of resampled rows
+            design = vx.build_design(data, vx.VarxSpec(bootstrap_reps=200, horizon=horizon))
+            model = vx.estimate(design)
+            tracemalloc.start()
+            try:
+                vx.bootstrap_bands(model, design)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one (200, 3001, 4) stack of responses alone would be 19 MB
+        assert peaks[3000] - peaks[10] < 2**20
+
+
+@functools.lru_cache(maxsize=1)
+def control_data():
+    """pipeline_data("control", 168), built once: its first k columns are a k-variable system."""
+    return pipeline_data("control", 168)
 
 
 def assert_rows_are_streams(rows, seed, bound):
