@@ -504,24 +504,28 @@ def bootstrap_bands(model: VarxModel, design: Design) -> ImpulseResponse:
     """Recursive residual bootstrap bands around the point multipliers of ``model``, fitted to ``design``.
 
     Horizon, shock size, replications, seed and band method are those of
-    ``design.spec``. The responses of the replications ``_bootstrap_draws``
-    kept come from one batched recursion and are reduced horizon by horizon:
-    to the point +/- 1 bootstrap standard deviation by default, or to the
-    15.87/84.13 percentiles clipped to contain the point. Rank-deficient
-    re-estimations are dropped and counted in ``dropped``; more than 5% aborts,
-    and so does the first horizon with a point or band value that is not
-    finite (a shock size or an explosive fit past float's range).
+    ``design.spec``. The point and the responses of the replications
+    ``_bootstrap_draws`` kept are stepped together, one horizon at a time,
+    and each horizon's draws are reduced: to the point +/- 1 bootstrap
+    standard deviation by default, or to the 15.87/84.13 percentiles clipped
+    to contain the point. Rank-deficient re-estimations are dropped and
+    counted in ``dropped``; more than 5% aborts, and so does the first horizon
+    with a point or band value that is not finite (a shock size or an explosive
+    fit past float's range), where both stop. A horizon too large to allocate fails before any draw.
     """
-    spec = design.spec
+    spec, H, s = design.spec, design.spec.horizon, design.spec.shock_size
+    try:
+        point, lower, upper = np.empty((3, H + 1, design.data.k))
+    except (MemoryError, ValueError):  # numpy's errors for a size past memory or past its index range
+        raise VarxError(f"horizon {H} is too large: its response table cannot be allocated") from None
     coefs, kept = _bootstrap_draws(model, design)
     dropped = spec.bootstrap_reps - int(kept.sum())
     if dropped > 0.05 * spec.bootstrap_reps:
         raise VarxError(f"bootstrap aborted: {dropped} of {spec.bootstrap_reps} replications failed re-estimation")
     _, endo, exog = _unpack(coefs[kept], design)
+    steps = zip(_responses(model.endo_coefs, model.exog_coefs, H, s), _responses(endo, exog, H, s))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned about
-        point = dynamic_multipliers(model, spec.horizon, spec.shock_size)
-        lower, upper = np.empty_like(point), np.empty_like(point)
-        for h, draws in enumerate(_responses(endo, exog, spec.horizon, spec.shock_size)):  # (kept reps, k)
+        for h, (point[h], draws) in enumerate(steps):  # point[h] is filled in place; draws is (kept reps, k)
             if spec.band_method == "sd":
                 sd = draws.std(axis=0, ddof=1)
                 lower[h], upper[h] = point[h] - sd, point[h] + sd

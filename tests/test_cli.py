@@ -289,6 +289,18 @@ class TestIrf:
             run_irf(missing, missing, tmp_path / "out", vx.VarxSpec(bootstrap_reps=100), targets=targets)
         assert not (tmp_path / "out").exists()
 
+    def test_horizon_too_large_to_allocate_is_one_error_line(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out),
+             "--reps", "100", "--target", "total", "--horizon", str(10**15)],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: horizon {10**15} is too large: its response table cannot be allocated\n"
+        assert not out.exists()
+
     def test_failed_run_makes_no_output_directory(self, runner, inputs, tmp_path):
         wages, shocks = inputs
         out = tmp_path / "out"

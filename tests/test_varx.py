@@ -419,7 +419,7 @@ class TestBootstrapBands:
         bands = vx.bootstrap_bands(vx.estimate(percentile), percentile)
         assert np.isfinite((bands.point, bands.lower, bands.upper)).all()
 
-    def test_point_overflow_is_an_error(self):
+    def test_point_overflow_is_an_error(self, monkeypatch):
         # an explosive fit: 1.2**h passes float's range long before horizon 5000
         rng = np.random.default_rng(8)
         d = rng.normal(size=81)
@@ -431,8 +431,33 @@ class TestBootstrapBands:
         assert vx.companion_spectral_radius(model) > 1.1
         with np.errstate(over="ignore"):
             assert not np.isfinite(vx.dynamic_multipliers(model, 5000, -0.25)[-1]).all()
-        with pytest.raises(vx.VarxError, match=r"^response of x0 at horizon \d+ is not finite: "):
+        # the point and the draws each stop at the first horizon that is not finite
+        counts, responses = [], vx._responses
+
+        def counted(*args):
+            slot = len(counts)
+            counts.append(0)
+            for response in responses(*args):
+                counts[slot] += 1
+                yield response
+
+        monkeypatch.setattr(vx, "_responses", counted)
+        with pytest.raises(vx.VarxError, match=r"^response of x0 at horizon \d+ is not finite: ") as error:
             vx.bootstrap_bands(model, design)
+        h = int(re.search(r"horizon (\d+)", str(error.value))[1])
+        assert h < 5000 and len(counts) == 2
+        assert max(counts) <= h + 1, counts
+
+    @pytest.mark.parametrize("horizon", [10**15, 10**18])
+    def test_horizon_too_large_to_allocate_is_an_error_before_any_draw(self, monkeypatch, horizon):
+        # numpy raises MemoryError for the 10**15 table and ValueError for the 10**18 one
+        model, design = self._fit(vx.VarxSpec(bootstrap_reps=100, horizon=horizon))
+        draws = []
+        monkeypatch.setattr(vx, "_bootstrap_draws", lambda *args: draws.append(args))
+        message = rf"^horizon {horizon} is too large: its response table cannot be allocated$"
+        with pytest.raises(vx.VarxError, match=message):
+            vx.bootstrap_bands(model, design)
+        assert draws == []
 
 
 def scalar_bootstrap(model, design):
