@@ -12,7 +12,6 @@ future shocks held at zero; bands come from a recursive residual
 bootstrap that keeps the exogenous path fixed at its observed values.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -409,19 +408,6 @@ def _stream_integers(seed: int, reps: int, bound: int, size: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _resample_rows(seed: int, reps: int, T_eff: int) -> np.ndarray:
-    """Read-only (reps, T_eff) residual rows; row r is drawn from the stream (seed, r).
-
-    Row r equals np.random.default_rng((seed, r)).integers(0, T_eff, T_eff).
-    Every target of a run shares one sample length, so the draws are made
-    once per run and reused.
-    """
-    rows = _stream_integers(seed, reps, T_eff, T_eff)
-    rows.setflags(write=False)
-    return rows
-
-
 def _solve_lags(V: np.ndarray, lag_cols: int, Q_F: np.ndarray, R_F: np.ndarray):
     """Least squares of Y on [F | L] for stacked V = [L | Y] (n, T_eff, w), where F = Q_F R_F is fixed.
 
@@ -458,15 +444,16 @@ def _bootstrap_draws(model: VarxModel, design: Design) -> tuple:
     """Each replication's refitted coefficients (reps, m, k) in ``design.columns`` order, and a (reps,) kept mask.
 
     Replication r < ``design.spec.bootstrap_reps`` resamples residual rows
-    i.i.d. with replacement from the stream (``design.spec.seed``, r),
-    regenerates the sample and re-estimates. Initial lags and the exogenous
-    path d stay at their observed values, so only the lag columns of the
-    design change: the constant and shock columns are factored once and
-    partialled out of each refit (``_solve_lags``). Paths are regenerated
-    for many replications per pass and each pass is refitted in smaller
-    groups (``_pass_sizes``); every product is taken per replication, so no
-    draw depends on either size or on evaluation order.
-    A replication whose re-estimation is rank deficient is not kept; its row is NaN.
+    i.i.d. with replacement from the stream (``design.spec.seed``, r), the
+    same rows in every fit of that sample length, then regenerates the sample
+    and re-estimates. Initial lags and the exogenous path d stay at their
+    observed values, so only the lag columns of the design change: the
+    constant and shock columns are factored once and partialled out of each
+    refit (``_solve_lags``). Paths are regenerated for many replications per
+    pass and each pass is refitted in smaller groups (``_pass_sizes``); every
+    product is taken per replication, so no draw depends on either size or on
+    evaluation order. A replication whose re-estimation is rank deficient is
+    not kept; its row is NaN. A count too large to allocate fails before any draw.
     """
     spec, k, p = design.spec, design.data.k, design.spec.endogenous_lags
     reps, T_eff, lag_cols = spec.bootstrap_reps, design.T_eff, p * k
@@ -475,12 +462,15 @@ def _bootstrap_draws(model: VarxModel, design: Design) -> tuple:
     exog_rows = model.exog_coefs[0 if spec.contemporaneous_shock else 1 :]
     base = model.intercept + design.Z[:, lags.stop :] @ exog_rows
     Q_F, R_F = np.linalg.qr(np.delete(design.Z, lags, axis=1))  # [const | shock columns]
-    resampled = _resample_rows(spec.seed, reps, T_eff)
+    try:
+        coefs, kept = np.full((reps, design.m, k), np.nan), np.empty(reps, bool)
+        resampled = _stream_integers(spec.seed, reps, T_eff, T_eff)
+    except (MemoryError, ValueError):  # numpy's errors for a size past memory or past its index range
+        raise VarxError(f"bootstrap_reps {reps} is too large: its draws cannot be allocated") from None
     regen, refit = _pass_sizes(reps, p, k, T_eff)
     path = np.empty((regen, p + T_eff, k))
     path[:, :p] = design.data.X[design.offset - p : design.offset]  # pre-sample lags, never overwritten
     V = np.empty((refit, T_eff, lag_cols + k))
-    coefs, kept = np.full((reps, design.m, k), np.nan), np.empty(reps, bool)
     for first in range(0, reps, regen):
         rows = resampled[first : first + regen]
         X = path[: len(rows)]

@@ -207,24 +207,29 @@ class TestIrf:
         assert (tmp_path / "numpy" / "manifest.json").read_bytes() == (tmp_path / "python" / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("extra", [[], ["--per-component"], ["--start", "2002Q1", "--end", "2008Q4"]])
-    def test_resampled_rows_are_drawn_once_per_run(self, runner, inputs, tmp_path, monkeypatch, extra):
+    def test_every_output_file_resamples_the_same_rows(self, runner, inputs, tmp_path, monkeypatch, extra):
         wages, shocks = inputs
-        vx._resample_rows.cache_clear()
-        calls = []
-        kernel = vx._stream_integers
-        monkeypatch.setattr(vx, "_stream_integers", lambda *args: calls.append(args) or kernel(*args))
+        calls, drawn, kernel = [], [], vx._stream_integers
+
+        def spy(*args):
+            calls.append(args)
+            drawn.append(kernel(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(vx, "_stream_integers", spy)
         result = runner.invoke(
             main,
             ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(tmp_path / "out")]
             + self.ARGS + extra,
         )
         assert result.exit_code == 0, result.output
-        assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]) > 1
-        [(seed, reps, T_eff, size)] = calls
-        assert (seed, reps, size) == (42, 100, T_eff)
-        assert vx._resample_rows.cache_info().misses == 1
-        for r, row in enumerate(vx._resample_rows(42, 100, T_eff)):
-            assert np.array_equal(row, np.random.default_rng((42, r)).integers(0, T_eff, T_eff))
+        files = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]
+        assert len(files) > 1 and len(calls) == len(files)
+        T_eff = calls[0][2]
+        assert calls == [(42, 100, T_eff, T_eff)] * len(files)
+        for rows in drawn:
+            for r, row in enumerate(rows):
+                assert np.array_equal(row, np.random.default_rng((42, r)).integers(0, T_eff, T_eff))
 
     def test_negative_seed_is_reported_on_one_line(self, runner, inputs, tmp_path):
         wages, shocks = inputs
@@ -299,6 +304,18 @@ class TestIrf:
         )
         assert result.exit_code == 1
         assert result.output == f"Error: horizon {10**15} is too large: its response table cannot be allocated\n"
+        assert not out.exists()
+
+    def test_reps_too_large_to_allocate_is_one_error_line(self, runner, inputs, tmp_path):
+        wages, shocks = inputs
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["irf", "--wages", str(wages), "--shocks", str(shocks), "--out", str(out),
+             "--reps", str(10**15), "--target", "total"],
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: bootstrap_reps {10**15} is too large: its draws cannot be allocated\n"
         assert not out.exists()
 
     def test_failed_run_makes_no_output_directory(self, runner, inputs, tmp_path):

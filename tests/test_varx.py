@@ -459,6 +459,17 @@ class TestBootstrapBands:
             vx.bootstrap_bands(model, design)
         assert draws == []
 
+    @pytest.mark.parametrize("reps", [10**15, 10**18])
+    def test_reps_too_large_to_allocate_is_an_error_before_any_draw(self, monkeypatch, reps):
+        # numpy raises MemoryError for the 10**15 coefficient table and ValueError for the 10**18 one
+        model, design = self._fit(vx.VarxSpec(bootstrap_reps=reps))
+        draws = []
+        monkeypatch.setattr(vx, "_stream_integers", lambda *args: draws.append(args))
+        message = rf"^bootstrap_reps {reps} is too large: its draws cannot be allocated$"
+        with pytest.raises(vx.VarxError, match=message):
+            vx.bootstrap_bands(model, design)
+        assert draws == []
+
 
 def scalar_bootstrap(model, design):
     """The per-replication bootstrap loop over ``design.spec``: the reference for the batched one.
@@ -649,7 +660,7 @@ class TestBatchedBootstrap:
 
 
 class TestChunksAndDraws:
-    """Pass sizes and the cached resampled rows leave the bands unchanged."""
+    """Pass sizes leave the bands unchanged, and each fit draws the rows of its seed and sample length."""
 
     @staticmethod
     def _cases():
@@ -685,7 +696,6 @@ class TestChunksAndDraws:
             # (replications per regeneration pass, per refit), varied independently
             for regen, refit in ((1, 1), (reps, 1), (7, 7), (7, 3), (reps, 11), (reps, reps), (13, 5)):
                 monkeypatch.setattr(vx, "_pass_sizes", lambda *args, sizes=(regen, refit): sizes)
-                vx._resample_rows.cache_clear()
                 solves.clear()
                 recursions.clear()
                 results.append(vx.bootstrap_bands(model, design))
@@ -733,23 +743,26 @@ class TestChunksAndDraws:
                 assert 2 * refit * V <= budget // 2 < 2 * (refit + 1) * V
         assert vx._pass_sizes(50, p, k, T_eff) == (50, min(50, sizes[1]))
 
-    def test_rows_are_drawn_once_per_seed_reps_and_sample_length(self, monkeypatch):
+    def test_each_fit_draws_the_rows_of_its_seed_reps_and_sample_length(self, monkeypatch):
         model, design = next(self._cases())
         spec, reps = design.spec, design.spec.bootstrap_reps
-        vx._resample_rows.cache_clear()
-        kernel = self._count_calls(monkeypatch, vx, "_stream_integers")
+        kernel, drawn, inner = [], [], vx._stream_integers
+
+        def spy(*args):
+            kernel.append(args)
+            drawn.append(inner(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(vx, "_stream_integers", spy)
         first = vx.bootstrap_bands(model, design)
-        assert kernel == [(spec.seed, reps, design.T_eff, design.T_eff)]
-        rows = vx._resample_rows(spec.seed, reps, design.T_eff)
+        again = vx.bootstrap_bands(model, design)
+        assert kernel == [(spec.seed, reps, design.T_eff, design.T_eff)] * 2
+        assert np.array_equal(again.lower, first.lower) and np.array_equal(again.upper, first.upper)
+        rows = drawn[0]
         assert rows.shape == (reps, design.T_eff) and rows.dtype == np.uint8
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0
+        assert np.array_equal(drawn[1], rows)
         assert_rows_are_streams(rows, spec.seed, design.T_eff)
         kernel.clear()
-        again = vx.bootstrap_bands(model, design)
-        assert kernel == [] and vx._resample_rows(spec.seed, reps, design.T_eff) is rows
-        assert np.array_equal(again.lower, first.lower) and np.array_equal(again.upper, first.upper)
 
         shorter = vx.build_design(vx.subsample(design.data, design.data.quarters[1], design.data.quarters[-1]), spec)
         vx.bootstrap_bands(vx.estimate(shorter), shorter)
@@ -757,7 +770,6 @@ class TestChunksAndDraws:
         kernel.clear()
         vx.bootstrap_bands(model, rebuilt(design, seed=spec.seed + 1))
         assert kernel == [(spec.seed + 1, reps, design.T_eff, design.T_eff)]
-        assert vx._resample_rows.cache_info().misses == 3
 
 
 def stacked_multipliers(endo, exog, horizon, shock_size):
@@ -849,7 +861,7 @@ class TestStreamedBands:
     def test_memory_does_not_grow_with_the_horizon(self):
         data = pipeline_data("components")
         peaks = {}
-        for horizon in (10, 10, 3000):  # the first run fills the cache of resampled rows
+        for horizon in (10, 10, 3000):  # the first run is a warm-up; every run draws its own resampled rows
             design = vx.build_design(data, vx.VarxSpec(bootstrap_reps=200, horizon=horizon))
             model = vx.estimate(design)
             tracemalloc.start()
@@ -883,9 +895,8 @@ class TestStreamKernel:
     @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
     @pytest.mark.parametrize("T_eff, dtype", [(4, np.uint8), (77, np.uint8), (256, np.uint8), (300, np.uint16)])
     def test_resampled_rows_equal_default_rng(self, monkeypatch, seed, T_eff, dtype):
-        vx._resample_rows.cache_clear()
         numpy_draws = TestChunksAndDraws._count_calls(monkeypatch, np.random, "default_rng")
-        rows = vx._resample_rows(seed, 30, T_eff)
+        rows = vx._stream_integers(seed, 30, T_eff, T_eff)
         assert numpy_draws == []  # no rejections at these bounds, so numpy's generator is never used
         assert rows.shape == (30, T_eff) and rows.dtype == dtype
         monkeypatch.undo()
